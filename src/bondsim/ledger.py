@@ -2,9 +2,12 @@
 
 Accounts hold integer microAlgos and integer asset base units; a single
 scalar clock gates time-dependent logic; every transaction pays a flat fee;
-transaction groups of up to 16 transactions commit all-or-nothing against a
-working copy of the state.  Stateless and stateful approval programs from
-the `programs` module are evaluated during group submission.
+transaction groups of up to 16 transactions commit all-or-nothing: a group
+writes the live state in place, saving each account, app state and fee
+total before its first write to it, and a rejected group puts the saved
+objects back.  A group's cost therefore grows with the objects it touches,
+not with the size of the ledger.  Stateless and stateful approval programs
+from the `programs` module are evaluated during group submission.
 
 All money arithmetic is integer arithmetic.  There is no randomness and no
 wall-clock access anywhere, so identical operation sequences produce
@@ -207,12 +210,49 @@ class _LedgerState:
         self.apps: dict = {}
         self.fees_paid: dict = {}
 
-    def clone(self) -> "_LedgerState":
-        st = _LedgerState()
-        st.accounts = {a: acc.clone() for a, acc in self.accounts.items()}
-        st.apps = {i: s.clone() for i, s in self.apps.items()}
-        st.fees_paid = dict(self.fees_paid)
-        return st
+
+class _Undo:
+    """Rollback record of one group.  Every write of the group goes through
+    `account`, `app` or `add_fee`, which save the object as it was before the
+    group's first write to it; `rollback` puts the saved objects back.  The
+    saved accounts are exactly the accounts the group wrote, whose minimum
+    balances the group must leave intact."""
+
+    __slots__ = ("state", "accounts", "apps", "fees")
+
+    def __init__(self, state: _LedgerState):
+        self.state = state
+        self.accounts: dict = {}  # address -> Account before the group
+        self.apps: dict = {}  # app id -> AppState before the group
+        self.fees: dict = {}  # address -> fee total before the group, None if absent
+
+    def account(self, addr: Address) -> Account:
+        acc = self.state.accounts[addr]
+        if addr not in self.accounts:
+            self.accounts[addr] = acc.clone()
+        return acc
+
+    def app(self, app_id: int) -> AppState:
+        app = self.state.apps[app_id]
+        if app_id not in self.apps:
+            self.apps[app_id] = app.clone()
+        return app
+
+    def add_fee(self, addr: Address, fee: int) -> None:
+        fees = self.state.fees_paid
+        old = fees.get(addr)
+        self.fees.setdefault(addr, old)
+        fees[addr] = (old or 0) + fee
+
+    def rollback(self) -> None:
+        st = self.state
+        st.accounts.update(self.accounts)
+        st.apps.update(self.apps)
+        for addr, old in self.fees.items():
+            if old is None:
+                del st.fees_paid[addr]
+            else:
+                st.fees_paid[addr] = old
 
 
 @dataclass(frozen=True)
@@ -267,8 +307,8 @@ class CostLedger:
     """Per-actor accumulation of fees and minimum-balance obligations plus
     labelled per-action rows for cost reporting."""
 
-    def __init__(self, ledger: "Ledger"):
-        self._ledger = ledger
+    def __init__(self, state: _LedgerState):
+        self._state = state  # the ledger's live state, never the ledger: no cycle
         self.rows: list = []
 
     def record(self, actor: Address, label: str, *, amount: int = 0, min_delta: int = 0, fee: int = 0, tag: Optional[int] = None) -> None:
@@ -288,10 +328,13 @@ class CostLedger:
         return sum(row.total for row in self.rows_for(actor))
 
     def fees_paid(self, addr: Address) -> int:
-        return self._ledger._state.fees_paid.get(addr, 0)
+        return self._state.fees_paid.get(addr, 0)
 
     def min_balance_locked(self, addr: Address) -> int:
-        return self._ledger._account(addr).min_extra
+        acc = self._state.accounts.get(addr)
+        if acc is None:
+            raise UnknownAddress(addr)
+        return acc.min_extra
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +392,7 @@ class Ledger:
         self._next_app = 1000
         self._minted = 0
         self._log: list = []
-        self.cost = CostLedger(self)
+        self.cost = CostLedger(self._state)
 
     # -- accounts -----------------------------------------------------------
 
@@ -528,15 +571,17 @@ class Ledger:
         group = as_group(txns)
         if not 1 <= len(group.txns) <= MAX_GROUP_SIZE:
             return SubmitResult(False, Rejection("bad_group_size", {"size": len(group.txns)}))
-        working = self._state.clone()
-        touched: set = set()
+        undo = _Undo(self._state)
         try:
             for idx in range(len(group.txns)):
-                self._apply_txn(working, group, idx, touched)
-            self._check_min_balances(working, touched)
+                self._apply_txn(undo, group, idx)
+            self._check_min_balances(undo)
         except _Reject as r:
+            undo.rollback()
             return SubmitResult(False, r.rejection)
-        self._state = working
+        except BaseException:
+            undo.rollback()
+            raise
         for txn in group.txns:
             self._log.append(LogEntry(len(self._log), self._now, txn))
         return SubmitResult(True)
@@ -547,9 +592,9 @@ class Ledger:
 
     # -- transaction application (internal) ----------------------------------------
 
-    def _apply_txn(self, st: _LedgerState, group: TransactionGroup, idx: int, touched: set) -> None:
+    def _apply_txn(self, undo: _Undo, group: TransactionGroup, idx: int) -> None:
         txn = group.txns[idx]
-        acc = st.accounts.get(txn.sender)
+        acc = undo.state.accounts.get(txn.sender)
         if acc is None:
             raise _Reject("unknown_address", address=txn.sender)
         if txn.valid_from is not None and self._now < txn.valid_from:
@@ -563,16 +608,15 @@ class Ledger:
             raise _Reject("fee_too_low", txn_index=idx)
         if acc.balance < txn.fee:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
-        acc.balance -= txn.fee
-        st.fees_paid[txn.sender] = st.fees_paid.get(txn.sender, 0) + txn.fee
-        touched.add(txn.sender)
+        undo.account(txn.sender).balance -= txn.fee
+        undo.add_fee(txn.sender, txn.fee)
 
         if isinstance(txn, Payment):
-            self._apply_payment(st, txn, idx, touched)
+            self._apply_payment(undo, txn, idx)
         elif isinstance(txn, AssetTransfer):
-            self._apply_asset_transfer(st, txn, idx, touched)
+            self._apply_asset_transfer(undo, txn, idx)
         else:
-            self._apply_app_call(st, group, idx, touched)
+            self._apply_app_call(undo, group, idx)
 
     def _auth_failure(self, txn: Transaction, group: TransactionGroup, idx: int) -> Optional[str]:
         sig = txn.signature or SecretKey(txn.sender)
@@ -593,33 +637,32 @@ class Ledger:
                 return "bad_signature"
         return None
 
-    def _apply_payment(self, st: _LedgerState, txn: Payment, idx: int, touched: set) -> None:
+    def _apply_payment(self, undo: _Undo, txn: Payment, idx: int) -> None:
         if txn.amount < 0:
             raise _Reject("bad_amount", txn_index=idx)
-        recv = st.accounts.get(txn.receiver)
-        if recv is None:
+        if txn.receiver not in undo.state.accounts:
             raise _Reject("unknown_address", address=txn.receiver, txn_index=idx)
-        acc = st.accounts[txn.sender]
+        acc = undo.account(txn.sender)
         if acc.balance < txn.amount:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
         acc.balance -= txn.amount
-        recv.balance += txn.amount
-        touched.add(txn.receiver)
+        undo.account(txn.receiver).balance += txn.amount
 
-    def _apply_asset_transfer(self, st: _LedgerState, txn: AssetTransfer, idx: int, touched: set) -> None:
+    def _apply_asset_transfer(self, undo: _Undo, txn: AssetTransfer, idx: int) -> None:
         if txn.amount < 0:
             raise _Reject("bad_amount", txn_index=idx)
         asset = self._assets.get(txn.asset_id)
         if asset is None:
             raise _Reject("unknown_asset", txn_index=idx)
-        sender = st.accounts[txn.sender]
-        recv = st.accounts.get(txn.receiver)
+        accounts = undo.state.accounts
+        sender = accounts[txn.sender]
+        recv = accounts.get(txn.receiver)
         if recv is None:
             raise _Reject("unknown_address", address=txn.receiver, txn_index=idx)
 
         if txn.revoke_target is not None:
             # clawback: authority moves funds out of revoke_target, frozen or not
-            src = st.accounts.get(txn.revoke_target)
+            src = accounts.get(txn.revoke_target)
             if src is None:
                 raise _Reject("unknown_address", address=txn.revoke_target, txn_index=idx)
             if txn.asset_id not in src.holdings:
@@ -628,13 +671,13 @@ class Ledger:
                 raise _Reject("not_opted_in", address=txn.receiver, txn_index=idx)
             if src.holdings[txn.asset_id] < txn.amount:
                 raise _Reject("insufficient_balance", txn_index=idx, address=txn.revoke_target)
-            src.holdings[txn.asset_id] -= txn.amount
-            recv.holdings[txn.asset_id] += txn.amount
-            touched.update((txn.revoke_target, txn.receiver))
+            undo.account(txn.revoke_target).holdings[txn.asset_id] -= txn.amount
+            undo.account(txn.receiver).holdings[txn.asset_id] += txn.amount
             return
 
         if txn.receiver == txn.sender and txn.amount == 0 and txn.asset_id not in sender.holdings:
             # opt-in: zero self-transfer creates the holding
+            sender = undo.account(txn.sender)
             sender.holdings[txn.asset_id] = 0
             sender.min_extra += self.schedule.asset_opt_in
             return
@@ -647,22 +690,22 @@ class Ledger:
             raise _Reject("frozen_holding", txn_index=idx)
         if sender.holdings[txn.asset_id] < txn.amount:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
-        sender.holdings[txn.asset_id] -= txn.amount
-        recv.holdings[txn.asset_id] += txn.amount
-        touched.add(txn.receiver)
+        undo.account(txn.sender).holdings[txn.asset_id] -= txn.amount
+        undo.account(txn.receiver).holdings[txn.asset_id] += txn.amount
 
-    def _apply_app_call(self, st: _LedgerState, group: TransactionGroup, idx: int, touched: set) -> None:
+    def _apply_app_call(self, undo: _Undo, group: TransactionGroup, idx: int) -> None:
         txn = group.txns[idx]
+        st = undo.state
         code = self._app_code.get(txn.app_id)
         if code is None or txn.app_id not in st.apps:
             raise _Reject("unknown_app", txn_index=idx)
         program = code.program
-        acc = st.accounts[txn.sender]
         oc = txn.on_complete
 
         if oc is OnComplete.OPT_IN:
-            if txn.app_id in acc.local:
+            if txn.app_id in st.accounts[txn.sender].local:
                 raise _Reject("already_opted_in", txn_index=idx)
+            acc = undo.account(txn.sender)
             acc.local[txn.app_id] = {}
             acc.min_extra += self.schedule.app_opt_in_entry(program)
 
@@ -680,43 +723,44 @@ class Ledger:
             port=_StatePort(self, st),
         )
         handler = program.clear_state if oc is OnComplete.CLEAR_STATE else program.approval
-        denied: Optional[Deny] = None
+        # keep the denial's fields, not the exception: its traceback (or its
+        # context's) leads back to this frame, a cycle that would keep the
+        # ledger alive until the cyclic collector runs
+        denial: Optional[dict] = None
         if handler is not None:
             try:
                 handler(ctx)
             except Deny as d:
-                denied = d
+                denial = {"code": d.code, **d.detail}
 
         if oc is OnComplete.CLEAR_STATE:
             # clearing always removes local state, approved or not
-            if txn.app_id not in acc.local:
+            if txn.app_id not in st.accounts[txn.sender].local:
                 raise _Reject("not_opted_in", txn_index=idx)
-            if denied is None:
-                self._commit_app_writes(st, code, ctx, touched)
+            if denial is None:
+                self._commit_app_writes(undo, code, ctx)
+            acc = undo.account(txn.sender)
             del acc.local[txn.app_id]
             acc.min_extra -= self.schedule.app_opt_in_entry(program)
             return
 
-        if denied is not None:
-            raise _Reject(
-                "app_rejected",
-                {"txn_index": idx, "app": txn.app_id, "code": denied.code, **denied.detail},
-            )
-        self._commit_app_writes(st, code, ctx, touched)
+        if denial is not None:
+            raise _Reject("app_rejected", {"txn_index": idx, "app": txn.app_id, **denial})
+        self._commit_app_writes(undo, code, ctx)
 
         if oc is OnComplete.CLOSE_OUT:
-            if txn.app_id not in acc.local:
+            if txn.app_id not in st.accounts[txn.sender].local:
                 raise _Reject("not_opted_in", txn_index=idx)
+            acc = undo.account(txn.sender)
             del acc.local[txn.app_id]
             acc.min_extra -= self.schedule.app_opt_in_entry(program)
         elif oc is OnComplete.DELETE_APPLICATION:
+            undo.app(txn.app_id)
             del st.apps[txn.app_id]
-            creator_acc = st.accounts[code.creator]
-            creator_acc.min_extra -= self.schedule.app_create_entry(program)
-            touched.add(code.creator)
+            undo.account(code.creator).min_extra -= self.schedule.app_create_entry(program)
 
-    def _commit_app_writes(self, st: _LedgerState, code: _AppCode, ctx: CallContext, touched: set) -> None:
-        app_state = st.apps[code.app_id]
+    def _commit_app_writes(self, undo: _Undo, code: _AppCode, ctx: CallContext) -> None:
+        app_state = undo.app(code.app_id)
         if ctx.config_writes:
             app_state.config.update(ctx.config_writes)
         if ctx.finalize_requested:
@@ -726,21 +770,23 @@ class Ledger:
             cap = min(code.program.schema.global_keys, MAX_GLOBAL_KEYS)
             if len(app_state.global_state) > cap:
                 raise _Reject("app_rejected", {"app": code.app_id, "code": "global_schema_exceeded"})
+        accounts = undo.state.accounts
         for (addr, key), value in ctx.local_writes.items():
-            target = st.accounts.get(addr)
+            target = accounts.get(addr)
             if target is None:
                 raise _Reject("unknown_address", address=addr)
             if code.app_id not in target.local:
                 raise _Reject("app_rejected", {"app": code.app_id, "code": "not_opted_in", "account": addr})
-            target.local[code.app_id][key] = value
+            local = undo.account(addr).local[code.app_id]
+            local[key] = value
             cap = min(code.program.schema.local_keys, MAX_LOCAL_KEYS)
-            if len(target.local[code.app_id]) > cap:
+            if len(local) > cap:
                 raise _Reject("app_rejected", {"app": code.app_id, "code": "local_schema_exceeded"})
-            touched.add(addr)
 
-    def _check_min_balances(self, st: _LedgerState, touched: set) -> None:
-        for addr in sorted(touched):
-            acc = st.accounts[addr]
+    def _check_min_balances(self, undo: _Undo) -> None:
+        accounts = undo.state.accounts
+        for addr in sorted(undo.accounts):
+            acc = accounts[addr]
             if acc.balance == 0 and acc.min_extra == 0:
                 continue  # dormant or pure-asset account
             required = BASE_MIN_BALANCE + acc.min_extra
