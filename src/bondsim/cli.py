@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,6 +28,7 @@ from .scenario import (
 )
 
 DEFAULT_STORE = "report-store"
+_CONTENT_ID_RE = re.compile(r"[0-9a-f]{64}")  # SHA-256 hex digest; never a path
 
 
 def _read_scenario(path: str):
@@ -148,11 +150,17 @@ def _cmd_report(args) -> int:
         return EXIT_OK
 
     if args.action == "get":
+        if not _CONTENT_ID_RE.fullmatch(args.target):
+            print(f"error: bad content id (want 64 lowercase hex digits): {args.target!r}", file=sys.stderr)
+            return EXIT_USAGE
         blob = Path(args.store) / args.target
         if not blob.is_file():
             print(f"error: unknown content id: {args.target}", file=sys.stderr)
             return EXIT_FAILURE
         data = blob.read_bytes()
+        if hashlib.sha256(data).hexdigest() != args.target:
+            print(f"error: stored blob does not match its content id: {args.target}", file=sys.stderr)
+            return EXIT_FAILURE
         if args.out:
             Path(args.out).write_bytes(data)
         else:

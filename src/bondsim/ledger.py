@@ -342,8 +342,7 @@ class CostLedger:
 
 
 class _StatePort:
-    def __init__(self, ledger: "Ledger", state: _LedgerState):
-        self._ledger = ledger
+    def __init__(self, state: _LedgerState):
         self._state = state
 
     def global_get(self, app_id: int, key: bytes):
@@ -392,6 +391,7 @@ class Ledger:
         self._next_app = 1000
         self._minted = 0
         self._log: list = []
+        self._noted: dict = {}  # sender -> its committed entries that carry a note, in ledger order
         self.cost = CostLedger(self._state)
 
     # -- accounts -----------------------------------------------------------
@@ -582,13 +582,23 @@ class Ledger:
         except BaseException:
             undo.rollback()
             raise
-        for txn in group.txns:
-            self._log.append(LogEntry(len(self._log), self._now, txn))
+        self._record(group)
         return SubmitResult(True)
+
+    def _record(self, group: TransactionGroup) -> None:
+        for txn in group.txns:
+            entry = LogEntry(len(self._log), self._now, txn)
+            self._log.append(entry)
+            if txn.note:
+                self._noted.setdefault(txn.sender, []).append(entry)
 
     @property
     def applied_log(self) -> list:
         return self._log
+
+    def noted_by(self, sender: Address) -> list:
+        """Committed entries sent by `sender` that carry a note, in ledger order."""
+        return self._noted.get(sender, [])
 
     # -- transaction application (internal) ----------------------------------------
 
@@ -720,7 +730,7 @@ class Ledger:
             group=group,
             txn_index=idx,
             now=self._now,
-            port=_StatePort(self, st),
+            port=_StatePort(st),
         )
         handler = program.clear_state if oc is OnComplete.CLEAR_STATE else program.approval
         # keep the denial's fields, not the exception: its traceback (or its

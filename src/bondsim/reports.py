@@ -2,8 +2,9 @@
 
 Reports live in a local content-addressed store (hash of the bytes is the
 content id).  Anchoring a report submits a zero-amount self-payment whose
-note is "<manage-app-id>+<content-id>"; listing scans the ledger's applied
-transactions for that prefix, in ledger order.
+note is "<manage-app-id>+<content-id>"; listing reads the ledger's per-sender
+index of committed noted transactions (`Ledger.noted_by`) for that prefix, in
+ledger order, so it costs O(the issuer's noted transactions), not O(history).
 """
 from __future__ import annotations
 
@@ -89,9 +90,9 @@ def anchor_report(ledger: Ledger, issuer: Address, manage_app_id: int, cid: Cont
 def list_reports(ledger: Ledger, issuer: Address, manage_app_id: int) -> List[ContentId]:
     prefix = note_prefix(manage_app_id)
     cids: List[ContentId] = []
-    for entry in ledger.applied_log:
+    for entry in ledger.noted_by(issuer):
         txn = entry.txn
-        if not isinstance(txn, Payment) or txn.sender != issuer:
+        if not isinstance(txn, Payment):
             continue
         if not txn.note.startswith(prefix):
             continue

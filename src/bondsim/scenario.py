@@ -166,6 +166,7 @@ def _validate(steps: List[Step]) -> None:
     bonds: set = set()
     offers: set = set()
     reports: set = set()
+    names: set = set()  # union of the four pools
     last_time = 0
 
     def need(step: Step, n: int) -> None:
@@ -175,8 +176,9 @@ def _validate(steps: List[Step]) -> None:
     def check_new(step: Step, name: str, kind: str, pool: set) -> None:
         if not _NAME_RE.match(name) or name in _RESERVED_NAMES:
             raise ScenarioError(step.lineno, f"bad {kind} name: {name}")
-        if name in accounts | bonds | offers | reports:
+        if name in names:
             raise ScenarioError(step.lineno, f"name already defined: {name}")
+        names.add(name)
         pool.add(name)
 
     def check_ref(step: Step, name: str, pool: set, kind: str) -> None:

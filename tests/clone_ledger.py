@@ -15,7 +15,6 @@ from bondsim.ledger import (
     MAX_GROUP_SIZE,
     AssetTransfer,
     Ledger,
-    LogEntry,
     Payment,
     Rejection,
     SubmitResult,
@@ -52,8 +51,7 @@ class CloneLedger(Ledger):
         self._state.accounts = working.accounts
         self._state.apps = working.apps
         self._state.fees_paid = working.fees_paid
-        for txn in group.txns:
-            self._log.append(LogEntry(len(self._log), self._now, txn))
+        self._record(group)
         return SubmitResult(True)
 
     def _ref_apply_txn(self, st, group, idx, touched):
@@ -165,7 +163,7 @@ class CloneLedger(Ledger):
             group=group,
             txn_index=idx,
             now=self._now,
-            port=_StatePort(self, st),
+            port=_StatePort(st),
         )
         handler = program.clear_state if oc is OnComplete.CLEAR_STATE else program.approval
         denied = None

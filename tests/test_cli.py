@@ -153,3 +153,30 @@ report-anchor bond1 issuer r2
     assert main(["report", "list", str(scenario), "issuer", "bond1"]) == 0
     cids = capsys.readouterr().out.split()
     assert cids == [hashlib.sha256(b"first").hexdigest(), hashlib.sha256(b"second").hexdigest()]
+
+
+@pytest.mark.parametrize(
+    "bad_id",
+    ["../secret", "../../../etc/hostname", "FF" * 32, "f" * 63, "f" * 65, "g" * 64, ("ff" * 32) + "/"],
+)
+def test_report_get_refuses_ids_that_are_not_content_hashes(bad_id, tmp_path, capsys):
+    (tmp_path / "secret").write_text("host file")
+    store = tmp_path / "store"
+    store.mkdir()
+    assert main(["report", "get", bad_id, "--store", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_report_get_refuses_tampered_blob(tmp_path, capsys):
+    store = str(tmp_path / "store")
+    source = tmp_path / "impact.txt"
+    source.write_bytes(b"genuine impact data")
+    assert main(["report", "put", str(source), "--store", store]) == 0
+    cid = capsys.readouterr().out.strip()
+    (tmp_path / "store" / cid).write_bytes(b"forged impact data")
+    assert main(["report", "get", cid, "--store", store]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not match" in captured.err

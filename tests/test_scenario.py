@@ -235,3 +235,26 @@ buy bond1 inv1 1
     # deterministic output
     outcome2, runner2 = run_scenario_text(text)
     assert format_costs(runner2) == report
+
+
+NAME_DEFINERS = {
+    "account": "create-account {}",
+    "bond": "issue {} operator=operator issuer=issuer verifier=verifier regulator=regulator bonds=10 rounds=1 start-buy=100 end-buy=200 maturity=400 cost=$100 coupon=$10 principal=$100",
+    "offer": "offer bond1 {} seller=issuer price=$100 expiry=300",
+    "report": "report-put {} data=hello",
+}
+
+
+@pytest.mark.parametrize("first", sorted(NAME_DEFINERS))
+@pytest.mark.parametrize("second", sorted(NAME_DEFINERS))
+def test_name_reuse_across_kinds_is_rejected(first, second, tmp_path, capsys):
+    from bondsim.cli import main
+
+    lines = BASIC_SETUP.strip().splitlines()
+    lines += [NAME_DEFINERS[first].format("dup"), "create-account spacer", NAME_DEFINERS[second].format("dup")]
+    path = tmp_path / "dup.bsim"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {len(lines)}: name already defined: dup" in captured.err
