@@ -167,7 +167,7 @@ def _cmd_report(args) -> int:
             sys.stdout.buffer.write(data)
         return EXIT_OK
 
-    # list: replay a scenario and scan the ledger for anchored notes
+    # list: replay a scenario, then read the issuer's anchored notes
     if not args.scenario or not args.issuer or not args.bond:
         print("error: report list requires SCENARIO ISSUER BOND", file=sys.stderr)
         return EXIT_USAGE
@@ -226,10 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built on the first `main` call
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command == "report":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
@@ -57,10 +58,15 @@ class StatelessProgram:
     params: tuple
     predicate: Callable[["TransactionGroup", int, int], bool]  # (group, index, now)
 
+    @cached_property
+    def address(self) -> str:
+        """Contract-account address, hashed once per program object."""
+        material = repr((self.name, self.params)).encode()
+        return "lsig:" + hashlib.sha256(material).hexdigest()[:24]
+
 
 def contract_account_address(program: StatelessProgram) -> str:
-    material = repr((program.name, program.params)).encode()
-    return "lsig:" + hashlib.sha256(material).hexdigest()[:24]
+    return program.address
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ one line per step in the form
 
 Protocol rejections do not stop a run (they are data for `assert rejected`);
 a failing `assert` stops the run with exit code 1.
+
+An `offer` step keeps the offer's terms; its delegated signature is built
+when a `trade` step uses it, so offers that are never traded cost no more
+than their parse.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+_INLINE_COMMENT_RE = re.compile(r"\s#")  # a '#' preceded by whitespace
 _RESERVED_NAMES = {"faucet", "all", "rejected"}
 
 _GLOBAL_KEYS = {
@@ -87,13 +92,18 @@ def parse_money(token: str, lineno: int = 0) -> int:
     """Stablecoin amounts: `$12.34` means dollars (max 6dp), bare integers
     are base units."""
     try:
-        if token.startswith("$"):
-            scaled = Decimal(token[1:]) * UNIT
-            if scaled != scaled.to_integral_value():
-                raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
-            return int(scaled)
-        return int(token)
-    except (InvalidOperation, ValueError):
+        if not token.startswith("$"):
+            return int(token)
+        dollars = token[1:]
+        # Whole ASCII-digit dollars skip Decimal.  Up to 22 digits times UNIT
+        # fit Decimal's default 28-digit precision, so both ways agree.
+        if dollars.isascii() and dollars.isdigit() and len(dollars) <= 22:
+            return int(dollars) * UNIT
+        scaled = Decimal(dollars) * UNIT
+        if scaled != scaled.to_integral_value():
+            raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
+        return int(scaled)
+    except (InvalidOperation, ValueError, OverflowError):
         raise ScenarioError(lineno, f"bad amount: {token}") from None
 
 
@@ -105,7 +115,10 @@ def parse_bonds(token: str, lineno: int = 0) -> int:
         raise ScenarioError(lineno, f"bad bond quantity: {token}") from None
     if scaled != scaled.to_integral_value():
         raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
-    return int(scaled)
+    try:
+        return int(scaled)
+    except OverflowError:  # Infinity
+        raise ScenarioError(lineno, f"bad bond quantity: {token}") from None
 
 
 def parse_int(token: str, lineno: int = 0) -> int:
@@ -151,10 +164,10 @@ def parse_scenario(text: str) -> List[Step]:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        # inline comments: a '#' preceded by whitespace
-        cut = re.search(r"\s#", line)
-        if cut:
-            line = line[: cut.start()].rstrip()
+        if "#" in line:
+            cut = _INLINE_COMMENT_RE.search(line)
+            if cut:
+                line = line[: cut.start()].rstrip()
         tokens = line.split()
         steps.append(Step(lineno, tokens[0], tuple(tokens[1:]), line))
     _validate(steps)
@@ -162,10 +175,13 @@ def parse_scenario(text: str) -> List[Step]:
 
 
 def _validate(steps: List[Step]) -> None:
-    accounts: set = set()
-    bonds: set = set()
-    offers: set = set()
-    reports: set = set()
+    """Checks names and shapes, and parses every token that can be parsed
+    before the run: integers, amounts, bond quantities, rating indices (up
+    to the bond's `rounds=`) and assert operands."""
+    accounts: dict = {}
+    bonds: dict = {}  # bond name -> coupon rounds
+    offers: dict = {}
+    reports: dict = {}
     names: set = set()  # union of the four pools
     last_time = 0
 
@@ -173,15 +189,15 @@ def _validate(steps: List[Step]) -> None:
         if len(step.args) < n:
             raise ScenarioError(step.lineno, f"{step.verb}: expected at least {n} argument(s)")
 
-    def check_new(step: Step, name: str, kind: str, pool: set) -> None:
+    def check_new(step: Step, name: str, kind: str, pool: dict) -> None:
         if not _NAME_RE.match(name) or name in _RESERVED_NAMES:
             raise ScenarioError(step.lineno, f"bad {kind} name: {name}")
         if name in names:
             raise ScenarioError(step.lineno, f"name already defined: {name}")
         names.add(name)
-        pool.add(name)
+        pool[name] = None
 
-    def check_ref(step: Step, name: str, pool: set, kind: str) -> None:
+    def check_ref(step: Step, name: str, pool: dict, kind: str) -> None:
         if name not in pool:
             raise ScenarioError(step.lineno, f"undefined {kind}: {name}")
 
@@ -193,6 +209,9 @@ def _validate(steps: List[Step]) -> None:
         elif verb in ("fund-algos", "fund-stablecoin"):
             need(step, 2)
             check_ref(step, step.args[0], accounts, "account")
+            parse = parse_int if verb == "fund-algos" else parse_money
+            if parse(step.args[1], step.lineno) < 0:
+                raise ScenarioError(step.lineno, f"negative amount: {step.args[1]}")
         elif verb == "issue":
             need(step, 2)
             check_new(step, step.args[0], "bond", bonds)
@@ -205,22 +224,33 @@ def _validate(steps: List[Step]) -> None:
                 raise ScenarioError(step.lineno, f"issue: unknown {', '.join(sorted(unknown))}")
             for role in ("operator", "issuer", "verifier", "regulator"):
                 check_ref(step, kv[role], accounts, "account")
+            for key in ("bonds", "start-buy", "end-buy", "maturity"):
+                parse_int(kv[key], step.lineno)
+            for key in ("cost", "coupon", "principal"):
+                parse_money(kv[key], step.lineno)
+            bonds[step.args[0]] = parse_int(kv["rounds"], step.lineno)
         elif verb == "approve-bond":
             need(step, 1)
             check_ref(step, step.args[0], bonds, "bond")
+            if len(step.args) > 1:
+                parse_int(step.args[1], step.lineno)
         elif verb == "approve-account":
             need(step, 2)
             check_ref(step, step.args[0], bonds, "bond")
             check_ref(step, step.args[1], accounts, "account")
+            if len(step.args) > 2:
+                parse_int(step.args[2], step.lineno)
         elif verb == "freeze":
             need(step, 3)
             check_ref(step, step.args[0], bonds, "bond")
             if step.args[1] != "all":
                 check_ref(step, step.args[1], accounts, "account")
+            parse_int(step.args[2], step.lineno)
         elif verb in ("buy", "set-trade"):
             need(step, 3)
             check_ref(step, step.args[0], bonds, "bond")
             check_ref(step, step.args[1], accounts, "account")
+            parse_bonds(step.args[2], step.lineno)
         elif verb == "offer":
             need(step, 2)
             check_ref(step, step.args[0], bonds, "bond")
@@ -228,20 +258,25 @@ def _validate(steps: List[Step]) -> None:
             if set(kv) != {"seller", "price", "expiry"}:
                 raise ScenarioError(step.lineno, "offer: expected seller=, price=, expiry=")
             check_ref(step, kv["seller"], accounts, "account")
+            parse_money(kv["price"], step.lineno)
+            parse_int(kv["expiry"], step.lineno)
             check_new(step, step.args[1], "offer", offers)
         elif verb == "trade":
             need(step, 4)
             check_ref(step, step.args[0], bonds, "bond")
             check_ref(step, step.args[1], offers, "offer")
             check_ref(step, step.args[2], accounts, "account")
+            parse_bonds(step.args[3], step.lineno)
         elif verb == "fund-escrow":
             need(step, 3)
             check_ref(step, step.args[0], bonds, "bond")
             check_ref(step, step.args[1], accounts, "account")
+            parse_money(step.args[2], step.lineno)
         elif verb == "rate":
             need(step, 3)
             check_ref(step, step.args[0], bonds, "bond")
             check_ref(step, step.args[1], accounts, "account")
+            parse_int(step.args[2], step.lineno)
         elif verb in ("claim-coupon", "claim-principal", "claim-default"):
             need(step, 2)
             check_ref(step, step.args[0], bonds, "bond")
@@ -269,11 +304,11 @@ def _validate(steps: List[Step]) -> None:
             raise ScenarioError(step.lineno, f"unknown step: {verb}")
 
 
-def _validate_assert(step: Step, accounts: set, bonds: set) -> None:
+def _validate_assert(step: Step, accounts: dict, bonds: dict) -> None:
     target = step.args[0]
     rest = step.args[1:]
 
-    def check(name: str, pool: set, kind: str) -> None:
+    def check(name: str, pool: dict, kind: str) -> None:
         if name not in pool:
             raise ScenarioError(step.lineno, f"undefined {kind}: {name}")
 
@@ -303,11 +338,24 @@ def _validate_assert(step: Step, accounts: set, bonds: set) -> None:
         if len(rest) != 4:
             raise ScenarioError(step.lineno, "assert rating: expected BOND INDEX CMP VALUE")
         check(rest[0], bonds, "bond")
+        index, rounds = parse_int(rest[1], step.lineno), bonds[rest[0]]
+        if not 0 <= index <= rounds:
+            raise ScenarioError(step.lineno, f"rating index out of range: {index} (bond has {rounds} rounds)")
     else:
         raise ScenarioError(step.lineno, f"unknown assert target: {target}")
     cmp_token = rest[-2]
     if cmp_token not in _COMPARATORS:
         raise ScenarioError(step.lineno, f"unknown comparison: {cmp_token}")
+    _operand_parser(target, rest)(rest[-1], step.lineno)
+
+
+def _operand_parser(target: str, rest: tuple):
+    """How an assert's expected value is read: money, bonds or an integer."""
+    if target == "stablecoin-balance" or (target == "global-state" and rest[1] == "reserve"):
+        return parse_money
+    if target == "bond-balance" or (target == "local-state" and rest[2] == "trade"):
+        return parse_bonds
+    return parse_int
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +491,10 @@ class ScenarioRunner:
         return self.last_action
 
     def _do_offer(self, step: Step) -> None:
+        # keeps the terms; `_do_trade` builds the signature from them
         dep = self.bonds[step.args[0]]
         kv = _parse_kv(step.args[2:], step.lineno)
-        self.offers[step.args[1]] = gb.make_trade_offer(
+        self.offers[step.args[1]] = (
             dep,
             self.accounts[kv["seller"]],
             parse_money(kv["price"], step.lineno),
@@ -454,7 +503,7 @@ class ScenarioRunner:
 
     def _do_trade(self, step: Step) -> SubmitResult:
         dep = self.bonds[step.args[0]]
-        offer = self.offers[step.args[1]]
+        offer = gb.make_trade_offer(*self.offers[step.args[1]])
         buyer = self.accounts[step.args[2]]
         amount = parse_bonds(step.args[3], step.lineno)
         self.last_action = gb.submit_trade(self.ledger, dep, offer, buyer, amount)
@@ -523,40 +572,33 @@ class ScenarioRunner:
                     f"{'rejected: ' + self.last_action.reason() if self.last_action.rejected else 'approved'}"
                 )
             return
-        actual, expected_token = self._assert_value(target, rest, step.lineno)
+        actual = self._assert_value(target, rest, step.lineno)
         cmp_token = rest[-2]
-        expected = self._assert_expected(target, rest, expected_token, step.lineno)
+        expected = _operand_parser(target, rest)(rest[-1], step.lineno)
         if not _COMPARATORS[cmp_token](actual, expected):
             raise AssertionFailure(f"{target} {' '.join(rest[:-2])}: {actual} {cmp_token} {expected} is false")
 
-    def _assert_value(self, target: str, rest: tuple, lineno: int) -> Tuple[int, str]:
+    def _assert_value(self, target: str, rest: tuple, lineno: int) -> int:
         if target == "algo-balance":
-            return self.ledger.algo_balance(self.accounts[rest[0]]), rest[2]
+            return self.ledger.algo_balance(self.accounts[rest[0]])
         if target == "stablecoin-balance":
-            return self.ledger.asset_balance(self.accounts[rest[0]], self.stablecoin_id), rest[2]
+            return self.ledger.asset_balance(self.accounts[rest[0]], self.stablecoin_id)
         if target == "cost-total":
-            return self.ledger.cost.total_for(self.accounts[rest[0]]), rest[2]
+            return self.ledger.cost.total_for(self.accounts[rest[0]])
         if target == "bond-balance":
             dep = self.bonds[rest[0]]
-            return self.ledger.asset_balance(self.accounts[rest[1]], dep.bond_asset_id), rest[3]
+            return self.ledger.asset_balance(self.accounts[rest[1]], dep.bond_asset_id)
         if target == "global-state":
             dep = self.bonds[rest[0]]
-            return self.ledger.app_global(dep.main_app_id, _GLOBAL_KEYS[rest[1]]) or 0, rest[3]
+            return self.ledger.app_global(dep.main_app_id, _GLOBAL_KEYS[rest[1]]) or 0
         if target == "local-state":
             dep = self.bonds[rest[0]]
             addr = self.accounts[rest[1]]
-            return self.ledger.app_local(addr, dep.main_app_id, _LOCAL_KEYS[rest[2]]) or 0, rest[4]
+            return self.ledger.app_local(addr, dep.main_app_id, _LOCAL_KEYS[rest[2]]) or 0
         if target == "rating":
             dep = self.bonds[rest[0]]
-            return gb.get_rating(self.ledger, dep, parse_int(rest[1], lineno)), rest[3]
+            return gb.get_rating(self.ledger, dep, parse_int(rest[1], lineno))
         raise AssertionFailure(f"unknown target {target}")
-
-    def _assert_expected(self, target: str, rest: tuple, token: str, lineno: int) -> int:
-        if target in ("stablecoin-balance",) or (target == "global-state" and rest[1] == "reserve"):
-            return parse_money(token, lineno)
-        if target == "bond-balance" or (target == "local-state" and rest[2] == "trade"):
-            return parse_bonds(token, lineno)
-        return parse_int(token, lineno)
 
 
 def run_scenario_text(text: str) -> Tuple[RunOutcome, ScenarioRunner]:
