@@ -629,11 +629,11 @@ class Ledger:
             self._apply_app_call(undo, group, idx)
 
     def _auth_failure(self, txn: Transaction, group: TransactionGroup, idx: int) -> Optional[str]:
-        sig = txn.signature or SecretKey(txn.sender)
+        sig = txn.signature  # None: signed by the sender's own key
         if isinstance(sig, SecretKey):
             if sig.address != txn.sender:
                 return "bad_signature"
-        else:
+        elif sig is not None:
             expected = sig.delegator if sig.delegator is not None else contract_account_address(sig.program)
             if txn.sender != expected:
                 return "bad_signature"
@@ -770,16 +770,17 @@ class Ledger:
             undo.account(code.creator).min_extra -= self.schedule.app_create_entry(program)
 
     def _commit_app_writes(self, undo: _Undo, code: _AppCode, ctx: CallContext) -> None:
-        app_state = undo.app(code.app_id)
-        if ctx.config_writes:
-            app_state.config.update(ctx.config_writes)
-        if ctx.finalize_requested:
-            app_state.finalized = True
-        if ctx.global_writes:
-            app_state.global_state.update(ctx.global_writes)
-            cap = min(code.program.schema.global_keys, MAX_GLOBAL_KEYS)
-            if len(app_state.global_state) > cap:
-                raise _Reject("app_rejected", {"app": code.app_id, "code": "global_schema_exceeded"})
+        if ctx.config_writes or ctx.finalize_requested or ctx.global_writes:
+            app_state = undo.app(code.app_id)
+            if ctx.config_writes:
+                app_state.config.update(ctx.config_writes)
+            if ctx.finalize_requested:
+                app_state.finalized = True
+            if ctx.global_writes:
+                app_state.global_state.update(ctx.global_writes)
+                cap = min(code.program.schema.global_keys, MAX_GLOBAL_KEYS)
+                if len(app_state.global_state) > cap:
+                    raise _Reject("app_rejected", {"app": code.app_id, "code": "global_schema_exceeded"})
         accounts = undo.state.accounts
         for (addr, key), value in ctx.local_writes.items():
             target = accounts.get(addr)

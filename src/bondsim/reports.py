@@ -2,13 +2,21 @@
 
 Reports live in a local content-addressed store (hash of the bytes is the
 content id).  Anchoring a report submits a zero-amount self-payment whose
-note is "<manage-app-id>+<content-id>"; listing reads the ledger's per-sender
-index of committed noted transactions (`Ledger.noted_by`) for that prefix, in
-ledger order, so it costs O(the issuer's noted transactions), not O(history).
+note is "<manage-app-id>+<content-id>".
+
+Listing reads the ledger's per-sender index of committed noted transactions
+(`Ledger.noted_by`) through an incremental view kept per ledger: for each
+issuer, how many of its noted entries have been parsed and the content ids
+found so far, grouped by the note's bytes before the first "+".  A listing
+parses only the entries committed since the previous listing of that issuer,
+then returns a fresh copy of the requested app's ids, in ledger order.  The
+views live in a weak-keyed map, so they hold no reference to a ledger and die
+with it.
 """
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -18,6 +26,7 @@ ContentId = str
 
 MAX_NOTE_BYTES = 1024
 NOTE_SEPARATOR = "+"
+_SEPARATOR_BYTES = NOTE_SEPARATOR.encode("ascii")
 
 
 class UnknownContent(KeyError):
@@ -87,16 +96,32 @@ def anchor_report(ledger: Ledger, issuer: Address, manage_app_id: int, cid: Cont
     return ledger.submit_group([build_anchor_txn(issuer, manage_app_id, cid)])
 
 
+# Ledger -> {issuer: (entries of `noted_by(issuer)` parsed, {note head: [cid, ...]})}.
+# A published snapshot is never mutated: readers may hold it while another
+# reader publishes the next one.
+_views: "weakref.WeakKeyDictionary[Ledger, dict]" = weakref.WeakKeyDictionary()
+
+
 def list_reports(ledger: Ledger, issuer: Address, manage_app_id: int) -> List[ContentId]:
-    prefix = note_prefix(manage_app_id)
-    cids: List[ContentId] = []
-    for entry in ledger.noted_by(issuer):
-        txn = entry.txn
-        if not isinstance(txn, Payment):
-            continue
-        if not txn.note.startswith(prefix):
-            continue
-        parsed = ReportNote.parse(txn.note)
-        if parsed is not None and parsed.manage_app_id == manage_app_id:
-            cids.append(parsed.cid)
-    return cids
+    # `noted_by` lists only grow and hold only committed entries (rollback of
+    # a rejected group never reaches them), so entries parsed once stay valid
+    # and only those appended since the last listing need parsing.
+    views = _views.get(ledger)
+    if views is None:
+        views = _views.setdefault(ledger, {})
+    noted = ledger.noted_by(issuer)
+    seen, by_head = views.get(issuer, (0, {}))
+    if seen < len(noted):
+        end = len(noted)
+        fresh: dict = {}
+        for entry in noted[seen:end]:
+            txn = entry.txn
+            if not isinstance(txn, Payment):
+                continue
+            report = ReportNote.parse(txn.note)
+            if report is not None:
+                # the exact head bytes, so "010+x" never lists under app 10
+                fresh.setdefault(txn.note.partition(_SEPARATOR_BYTES)[0], []).append(report.cid)
+        by_head = {**by_head, **{head: by_head.get(head, []) + cids for head, cids in fresh.items()}}
+        views[issuer] = (end, by_head)
+    return list(by_head.get(note_prefix(manage_app_id)[: -len(_SEPARATOR_BYTES)], ()))

@@ -8,7 +8,9 @@ one line per step in the form
     STEP <n> <action> -> APPROVED|REJECTED(<reason>)
 
 Protocol rejections do not stop a run (they are data for `assert rejected`);
-a failing `assert` stops the run with exit code 1.
+a failing `assert` stops the run with exit code 1, and so does a failure of
+the environment (an unreadable report file, an empty faucet, a bond whose
+`issue` step was rejected), as `REJECTED(<code>: <detail>)`.
 
 An `offer` step keeps the offer's terms; its delegated signature is built
 when a `trade` step uses it, so offers that are never traded cost no more
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException
 from typing import List, Optional, Tuple
 
 from . import greenbond as gb
-from .ledger import Ledger, LedgerError, Rejection, SubmitResult
+from .ledger import InsufficientBalance, Ledger, LedgerError, Rejection, SubmitResult
 from .reports import ReportStore
 
 UNIT = gb.UNIT
@@ -63,8 +65,20 @@ class ScenarioError(Exception):
         self.lineno = lineno
 
 
-class AssertionFailure(Exception):
-    pass
+class RunStopped(Exception):
+    """A step the run cannot go past: a failed assert, or an environment
+    failure such as an unreadable report file, an empty faucet or a bond
+    whose `issue` step was rejected.  The step reads `REJECTED(<code>:
+    <detail>)` and the run ends with exit code 1."""
+
+    def __init__(self, code: str, detail: str):
+        super().__init__(detail)
+        self.code = code
+
+
+class AssertionFailure(RunStopped):
+    def __init__(self, detail: str):
+        super().__init__("assert_failed", detail)
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,7 @@ def parse_money(token: str, lineno: int = 0) -> int:
         if scaled != scaled.to_integral_value():
             raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
         return int(scaled)
-    except (InvalidOperation, ValueError, OverflowError):
+    except (DecimalException, ValueError, OverflowError):  # bad syntax, huge exponent, Infinity
         raise ScenarioError(lineno, f"bad amount: {token}") from None
 
 
@@ -111,7 +125,7 @@ def parse_bonds(token: str, lineno: int = 0) -> int:
     """Bond quantities are decimal whole bonds (max 6dp), scaled to base units."""
     try:
         scaled = Decimal(token) * UNIT
-    except InvalidOperation:
+    except DecimalException:  # bad syntax, exponent overflow
         raise ScenarioError(lineno, f"bad bond quantity: {token}") from None
     if scaled != scaled.to_integral_value():
         raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
@@ -384,15 +398,24 @@ class ScenarioRunner:
     # -- plumbing ------------------------------------------------------------
 
     def fund_stablecoin(self, addr: str, amount: int) -> None:
-        self.ledger.dispense_asset(self.stablecoin_id, self.faucet, addr, amount)
+        try:
+            self.ledger.dispense_asset(self.stablecoin_id, self.faucet, addr, amount)
+        except InsufficientBalance as exc:
+            raise RunStopped("faucet_empty", str(exc)) from None
+
+    def _bond(self, name: str) -> gb.BondDeployment:
+        dep = self.bonds.get(name)
+        if dep is None:  # its `issue` step was rejected
+            raise RunStopped("bond_not_issued", name)
+        return dep
 
     def run(self, steps: List[Step]) -> RunOutcome:
         outcome = RunOutcome(EXIT_OK)
         for n, step in enumerate(steps, start=1):
             try:
                 result = self._execute(step)
-            except AssertionFailure as failure:
-                outcome.transcript.append(f"STEP {n} {step.verb} -> REJECTED(assert_failed: {failure})")
+            except RunStopped as failure:
+                outcome.transcript.append(f"STEP {n} {step.verb} -> REJECTED({failure.code}: {failure})")
                 outcome.exit_code = EXIT_FAILURE
                 return outcome
             if result is None:
@@ -446,13 +469,13 @@ class ScenarioRunner:
         return self.last_action
 
     def _do_approve_bond(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         value = parse_int(step.args[1], step.lineno) if len(step.args) > 1 else 1
         self.last_action = gb.submit_freeze_all(self.ledger, dep, dep.params.financial_regulator, value)
         return self.last_action
 
     def _do_approve_account(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         addr = self.accounts[step.args[1]]
         value = parse_int(step.args[2], step.lineno) if len(step.args) > 2 else 1
         if not self.ledger.is_opted_in(addr, dep.main_app_id):
@@ -466,7 +489,7 @@ class ScenarioRunner:
         return self.last_action
 
     def _do_freeze(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         value = parse_int(step.args[2], step.lineno)
         regulator = dep.params.financial_regulator
         if step.args[1] == "all":
@@ -477,14 +500,14 @@ class ScenarioRunner:
         return self.last_action
 
     def _do_buy(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         investor = self.accounts[step.args[1]]
         amount = parse_bonds(step.args[2], step.lineno)
         self.last_action = gb.submit_buy(self.ledger, dep, investor, amount)
         return self.last_action
 
     def _do_set_trade(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         seller = self.accounts[step.args[1]]
         amount = parse_bonds(step.args[2], step.lineno)
         self.last_action = gb.submit_set_trade(self.ledger, dep, seller, amount)
@@ -492,7 +515,7 @@ class ScenarioRunner:
 
     def _do_offer(self, step: Step) -> None:
         # keeps the terms; `_do_trade` builds the signature from them
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         kv = _parse_kv(step.args[2:], step.lineno)
         self.offers[step.args[1]] = (
             dep,
@@ -502,7 +525,7 @@ class ScenarioRunner:
         )
 
     def _do_trade(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         offer = gb.make_trade_offer(*self.offers[step.args[1]])
         buyer = self.accounts[step.args[2]]
         amount = parse_bonds(step.args[3], step.lineno)
@@ -510,30 +533,30 @@ class ScenarioRunner:
         return self.last_action
 
     def _do_fund_escrow(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         funder = self.accounts[step.args[1]]
         amount = parse_money(step.args[2], step.lineno)
         self.last_action = gb.submit_fund_escrow(self.ledger, dep, funder, amount)
         return self.last_action
 
     def _do_rate(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         verifier = self.accounts[step.args[1]]
         self.last_action = gb.submit_rate(self.ledger, dep, verifier, parse_int(step.args[2], step.lineno))
         return self.last_action
 
     def _do_claim_coupon(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         self.last_action = gb.submit_coupon(self.ledger, dep, self.accounts[step.args[1]])
         return self.last_action
 
     def _do_claim_principal(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         self.last_action = gb.submit_principal(self.ledger, dep, self.accounts[step.args[1]])
         return self.last_action
 
     def _do_claim_default(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         self.last_action = gb.submit_default(self.ledger, dep, self.accounts[step.args[1]])
         return self.last_action
 
@@ -543,12 +566,15 @@ class ScenarioRunner:
             data = payload[len("data="):].encode("utf-8")
         else:
             path = payload[len("file="):].strip()
-            with open(path, "rb") as fh:
-                data = fh.read()
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise RunStopped("file_unreadable", str(exc)) from None
         self.reports[step.args[0]] = self.store.store(data)
 
     def _do_report_anchor(self, step: Step) -> SubmitResult:
-        dep = self.bonds[step.args[0]]
+        dep = self._bond(step.args[0])
         sender = self.accounts[step.args[1]]
         cid = self.reports[step.args[2]]
         self.last_action = gb.submit_report_anchor(self.ledger, dep, sender, cid)
@@ -586,17 +612,17 @@ class ScenarioRunner:
         if target == "cost-total":
             return self.ledger.cost.total_for(self.accounts[rest[0]])
         if target == "bond-balance":
-            dep = self.bonds[rest[0]]
+            dep = self._bond(rest[0])
             return self.ledger.asset_balance(self.accounts[rest[1]], dep.bond_asset_id)
         if target == "global-state":
-            dep = self.bonds[rest[0]]
+            dep = self._bond(rest[0])
             return self.ledger.app_global(dep.main_app_id, _GLOBAL_KEYS[rest[1]]) or 0
         if target == "local-state":
-            dep = self.bonds[rest[0]]
+            dep = self._bond(rest[0])
             addr = self.accounts[rest[1]]
             return self.ledger.app_local(addr, dep.main_app_id, _LOCAL_KEYS[rest[2]]) or 0
         if target == "rating":
-            dep = self.bonds[rest[0]]
+            dep = self._bond(rest[0])
             return gb.get_rating(self.ledger, dep, parse_int(rest[1], lineno))
         raise AssertionFailure(f"unknown target {target}")
 

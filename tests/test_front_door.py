@@ -178,6 +178,8 @@ def _run_cli(script: Path):
         "offer bond1 o seller=inv1 price=$x expiry=1000",
         "buy bond1 inv2 1.0000001",
         "assert rating bond1 3 == 0",
+        "fund-stablecoin inv1 $1e1000000",
+        "buy bond1 inv2 1e1000000",
     ],
 )
 def test_bad_token_exits_2_with_its_line(line, tmp_path):
@@ -188,6 +190,35 @@ def test_bad_token_exits_2_with_its_line(line, tmp_path):
     assert f"line {SETUP_LINES + 1}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "lines, code",
+    [
+        (
+            "issue bond2 operator=operator issuer=issuer verifier=verifier regulator=regulator bonds=100"
+            " rounds=2 start-buy=300 end-buy=200 maturity=400 cost=$100 coupon=$10 principal=$100\n"
+            "approve-bond bond2\n",
+            "bond_not_issued: bond2",
+        ),
+        ("report-put r file={missing}\n", "file_unreadable: "),
+        ("fund-stablecoin inv1 2000000000000\n", "faucet_empty: "),
+    ],
+    ids=["bond_not_issued", "file_unreadable", "faucet_empty"],
+)
+def test_environment_failure_stops_the_run_with_exit_1(lines, code, tmp_path):
+    """A run-time failure of the environment is the step's `REJECTED(...)`
+    and ends the run with exit 1, as a failed assert does."""
+    script = tmp_path / "env.bsim"
+    text = SETUP + lines.format(missing=tmp_path / "missing") + "assert rejected false\n"
+    script.write_text(text)
+    proc = _run_cli(script)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    last = SETUP_LINES + lines.count("\n")  # no blank or comment lines: step n is line n
+    verb = lines.splitlines()[-1].split()[0]
+    assert proc.stdout.splitlines()[-1].startswith(f"STEP {last} {verb} -> REJECTED({code}")
+    assert len(proc.stdout.splitlines()) == last
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """`parse_money`'s whole-dollar branch against a Decimal-only reference."""
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ def reference_parse_money(token: str, lineno: int = 0) -> int:
                 raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
             return int(scaled)
         return int(token)
-    except (InvalidOperation, ValueError, OverflowError):
+    except (DecimalException, ValueError, OverflowError):
         raise ScenarioError(lineno, f"bad amount: {token}") from None
 
 
@@ -57,6 +57,7 @@ tokens = st.one_of(
 @example("$Infinity")
 @example("$NaN")
 @example("$sNaN")
+@example("$1e1000000")
 def test_parse_money_matches_decimal_reference(token):
     assert outcome(parse_money, token) == outcome(reference_parse_money, token)
 
