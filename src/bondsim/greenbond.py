@@ -49,10 +49,10 @@ from .programs import (
     StatelessProgram,
     StateSchema,
 )
+from .pricing import TOP_RATING
 
 UNIT = 1_000_000  # base units per whole bond and per stablecoin dollar
 BOND_DECIMALS = 6
-TOP_RATING = 5
 
 MAIN_APP_MIN_BALANCE = 184_000
 MANAGE_APP_BASE_MIN_BALANCE = 100_000

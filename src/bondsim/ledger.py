@@ -327,9 +327,6 @@ class CostLedger:
     def total_for(self, actor: Address) -> int:
         return sum(row.total for row in self.rows_for(actor))
 
-    def fees_paid(self, addr: Address) -> int:
-        return self._state.fees_paid.get(addr, 0)
-
     def min_balance_locked(self, addr: Address) -> int:
         acc = self._state.accounts.get(addr)
         if acc is None:
@@ -415,9 +412,6 @@ class Ledger:
         if acc is None:
             raise UnknownAddress(addr)
         return acc
-
-    def has_account(self, addr: Address) -> bool:
-        return addr in self._state.accounts
 
     def fund_algos(self, addr: Address, amount: int) -> None:
         """Credit microAlgos out of thin air (dispenser plumbing, fee-free)."""

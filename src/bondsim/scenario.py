@@ -7,21 +7,30 @@ one line per step in the form
 
     STEP <n> <action> -> APPROVED|REJECTED(<reason>)
 
+Each verb has one entry in `_VERBS`: its minimum argument count, a bind
+function and an executor.  `parse_scenario` reads every token once, before
+the run: the bind function checks the step's names against those the script
+has bound so far and parses its integers, amounts, bond quantities, rating
+indices and assert operands, and the step carries the results as its bound
+operands.  `ScenarioRunner.run` hands them to the executor, which looks the
+names up and acts on the ledger without parsing anything again.
+
 Protocol rejections do not stop a run (they are data for `assert rejected`);
 a failing `assert` stops the run with exit code 1, and so does a failure of
 the environment (an unreadable report file, an empty faucet, a bond whose
 `issue` step was rejected), as `REJECTED(<code>: <detail>)`.
 
-An `offer` step keeps the offer's terms; its delegated signature is built
-when a `trade` step uses it, so offers that are never traded cost no more
-than their parse.
+An `offer` step's terms are bound to every `trade` step that names the
+offer; its delegated signature is built when such a trade runs, so offers
+that are never traded cost no more than their parse.
 """
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, DecimalException
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import greenbond as gb
 from .ledger import InsufficientBalance, Ledger, LedgerError, Rejection, SubmitResult
@@ -36,6 +45,10 @@ EXIT_USAGE = 2
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 _INLINE_COMMENT_RE = re.compile(r"\s#")  # a '#' preceded by whitespace
 _RESERVED_NAMES = {"faucet", "all", "rejected"}
+# A nonzero scaled amount or quantity of more than this many digits is refused
+# before `int()` builds it; `int()` puts the same limit on the digit strings
+# it reads.
+_MAX_DIGITS = 4300
 
 _GLOBAL_KEYS = {
     "coupons-paid": gb.KEY_COUPONS_PAID,
@@ -81,12 +94,16 @@ class AssertionFailure(RunStopped):
         super().__init__("assert_failed", detail)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
+    """One script line: its tokens, and its verb's executor with the operands
+    validation bound for it."""
+
     lineno: int
     verb: str
     args: tuple
     raw: str
+    execute: Callable[..., Optional[SubmitResult]]
+    operands: tuple
 
 
 @dataclass
@@ -116,6 +133,8 @@ def parse_money(token: str, lineno: int = 0) -> int:
         scaled = Decimal(dollars) * UNIT
         if scaled != scaled.to_integral_value():
             raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
+        if scaled and scaled.adjusted() >= _MAX_DIGITS:
+            raise ScenarioError(lineno, f"bad amount: {token}")
         return int(scaled)
     except (DecimalException, ValueError, OverflowError):  # bad syntax, huge exponent, Infinity
         raise ScenarioError(lineno, f"bad amount: {token}") from None
@@ -129,6 +148,8 @@ def parse_bonds(token: str, lineno: int = 0) -> int:
         raise ScenarioError(lineno, f"bad bond quantity: {token}") from None
     if scaled != scaled.to_integral_value():
         raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
+    if scaled and scaled.adjusted() >= _MAX_DIGITS:
+        raise ScenarioError(lineno, f"bad bond quantity: {token}")
     try:
         return int(scaled)
     except OverflowError:  # Infinity
@@ -153,27 +174,42 @@ def _parse_kv(args: tuple, lineno: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# parsing + static validation
+# parsing: each step binds its operands once
 
 
-_ISSUE_KEYS = {
-    "operator",
-    "issuer",
-    "verifier",
-    "regulator",
-    "bonds",
-    "rounds",
-    "start-buy",
-    "end-buy",
-    "maturity",
-    "cost",
-    "coupon",
-    "principal",
-}
+class _Verb(NamedTuple):
+    min_args: int
+    bind: Callable[..., tuple]  # (scope, lineno, args) -> operands
+    execute: Callable[..., Optional[SubmitResult]]  # (runner, *operands) -> result
+
+
+class _Scope:
+    """What validation knows of the names a script has bound so far."""
+
+    def __init__(self):
+        self.kinds: dict = {}  # name -> "account" | "bond" | "offer" | "report"
+        self.rounds: dict = {}  # bond name -> coupon rounds
+        self.offers: dict = {}  # offer name -> its terms (bond, seller, price, expiry)
+        self.last_time = 0
+        self.line = ""  # the step being bound, after comment stripping
+
+    def new(self, lineno: int, name: str, kind: str) -> str:
+        if not _NAME_RE.match(name) or name in _RESERVED_NAMES:
+            raise ScenarioError(lineno, f"bad {kind} name: {name}")
+        if name in self.kinds:
+            raise ScenarioError(lineno, f"name already defined: {name}")
+        self.kinds[name] = kind
+        return name
+
+    def ref(self, lineno: int, name: str, kind: str) -> str:
+        if self.kinds.get(name) != kind:
+            raise ScenarioError(lineno, f"undefined {kind}: {name}")
+        return name
 
 
 def parse_scenario(text: str) -> List[Step]:
     steps: List[Step] = []
+    scope = _Scope()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -183,193 +219,15 @@ def parse_scenario(text: str) -> List[Step]:
             if cut:
                 line = line[: cut.start()].rstrip()
         tokens = line.split()
-        steps.append(Step(lineno, tokens[0], tuple(tokens[1:]), line))
-    _validate(steps)
+        verb, args = tokens[0], tuple(tokens[1:])
+        spec = _VERBS.get(verb)
+        if spec is None:
+            raise ScenarioError(lineno, f"unknown step: {verb}")
+        if len(args) < spec.min_args:
+            raise ScenarioError(lineno, f"{verb}: expected at least {spec.min_args} argument(s)")
+        scope.line = line
+        steps.append(Step(lineno, verb, args, line, spec.execute, spec.bind(scope, lineno, args)))
     return steps
-
-
-def _validate(steps: List[Step]) -> None:
-    """Checks names and shapes, and parses every token that can be parsed
-    before the run: integers, amounts, bond quantities, rating indices (up
-    to the bond's `rounds=`) and assert operands."""
-    accounts: dict = {}
-    bonds: dict = {}  # bond name -> coupon rounds
-    offers: dict = {}
-    reports: dict = {}
-    names: set = set()  # union of the four pools
-    last_time = 0
-
-    def need(step: Step, n: int) -> None:
-        if len(step.args) < n:
-            raise ScenarioError(step.lineno, f"{step.verb}: expected at least {n} argument(s)")
-
-    def check_new(step: Step, name: str, kind: str, pool: dict) -> None:
-        if not _NAME_RE.match(name) or name in _RESERVED_NAMES:
-            raise ScenarioError(step.lineno, f"bad {kind} name: {name}")
-        if name in names:
-            raise ScenarioError(step.lineno, f"name already defined: {name}")
-        names.add(name)
-        pool[name] = None
-
-    def check_ref(step: Step, name: str, pool: dict, kind: str) -> None:
-        if name not in pool:
-            raise ScenarioError(step.lineno, f"undefined {kind}: {name}")
-
-    for step in steps:
-        verb = step.verb
-        if verb == "create-account":
-            need(step, 1)
-            check_new(step, step.args[0], "account", accounts)
-        elif verb in ("fund-algos", "fund-stablecoin"):
-            need(step, 2)
-            check_ref(step, step.args[0], accounts, "account")
-            parse = parse_int if verb == "fund-algos" else parse_money
-            if parse(step.args[1], step.lineno) < 0:
-                raise ScenarioError(step.lineno, f"negative amount: {step.args[1]}")
-        elif verb == "issue":
-            need(step, 2)
-            check_new(step, step.args[0], "bond", bonds)
-            kv = _parse_kv(step.args[1:], step.lineno)
-            missing = _ISSUE_KEYS - kv.keys()
-            if missing:
-                raise ScenarioError(step.lineno, f"issue: missing {', '.join(sorted(missing))}")
-            unknown = kv.keys() - _ISSUE_KEYS
-            if unknown:
-                raise ScenarioError(step.lineno, f"issue: unknown {', '.join(sorted(unknown))}")
-            for role in ("operator", "issuer", "verifier", "regulator"):
-                check_ref(step, kv[role], accounts, "account")
-            for key in ("bonds", "start-buy", "end-buy", "maturity"):
-                parse_int(kv[key], step.lineno)
-            for key in ("cost", "coupon", "principal"):
-                parse_money(kv[key], step.lineno)
-            bonds[step.args[0]] = parse_int(kv["rounds"], step.lineno)
-        elif verb == "approve-bond":
-            need(step, 1)
-            check_ref(step, step.args[0], bonds, "bond")
-            if len(step.args) > 1:
-                parse_int(step.args[1], step.lineno)
-        elif verb == "approve-account":
-            need(step, 2)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], accounts, "account")
-            if len(step.args) > 2:
-                parse_int(step.args[2], step.lineno)
-        elif verb == "freeze":
-            need(step, 3)
-            check_ref(step, step.args[0], bonds, "bond")
-            if step.args[1] != "all":
-                check_ref(step, step.args[1], accounts, "account")
-            parse_int(step.args[2], step.lineno)
-        elif verb in ("buy", "set-trade"):
-            need(step, 3)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], accounts, "account")
-            parse_bonds(step.args[2], step.lineno)
-        elif verb == "offer":
-            need(step, 2)
-            check_ref(step, step.args[0], bonds, "bond")
-            kv = _parse_kv(step.args[2:], step.lineno)
-            if set(kv) != {"seller", "price", "expiry"}:
-                raise ScenarioError(step.lineno, "offer: expected seller=, price=, expiry=")
-            check_ref(step, kv["seller"], accounts, "account")
-            parse_money(kv["price"], step.lineno)
-            parse_int(kv["expiry"], step.lineno)
-            check_new(step, step.args[1], "offer", offers)
-        elif verb == "trade":
-            need(step, 4)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], offers, "offer")
-            check_ref(step, step.args[2], accounts, "account")
-            parse_bonds(step.args[3], step.lineno)
-        elif verb == "fund-escrow":
-            need(step, 3)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], accounts, "account")
-            parse_money(step.args[2], step.lineno)
-        elif verb == "rate":
-            need(step, 3)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], accounts, "account")
-            parse_int(step.args[2], step.lineno)
-        elif verb in ("claim-coupon", "claim-principal", "claim-default"):
-            need(step, 2)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], accounts, "account")
-        elif verb == "report-put":
-            need(step, 2)
-            if not (step.args[1].startswith("data=") or step.args[1].startswith("file=")):
-                raise ScenarioError(step.lineno, "report-put: expected data=... or file=...")
-            check_new(step, step.args[0], "report", reports)
-        elif verb == "report-anchor":
-            need(step, 3)
-            check_ref(step, step.args[0], bonds, "bond")
-            check_ref(step, step.args[1], accounts, "account")
-            check_ref(step, step.args[2], reports, "report")
-        elif verb == "advance-time":
-            need(step, 1)
-            t = parse_int(step.args[0], step.lineno)
-            if t < last_time:
-                raise ScenarioError(step.lineno, f"time moves backwards: {t} < {last_time}")
-            last_time = t
-        elif verb == "assert":
-            need(step, 1)
-            _validate_assert(step, accounts, bonds)
-        else:
-            raise ScenarioError(step.lineno, f"unknown step: {verb}")
-
-
-def _validate_assert(step: Step, accounts: dict, bonds: dict) -> None:
-    target = step.args[0]
-    rest = step.args[1:]
-
-    def check(name: str, pool: dict, kind: str) -> None:
-        if name not in pool:
-            raise ScenarioError(step.lineno, f"undefined {kind}: {name}")
-
-    if target == "rejected":
-        if rest and rest[0] not in ("true", "false"):
-            raise ScenarioError(step.lineno, "assert rejected: expected true or false")
-        return
-    if target in ("algo-balance", "stablecoin-balance", "cost-total"):
-        if len(rest) != 3:
-            raise ScenarioError(step.lineno, f"assert {target}: expected NAME CMP VALUE")
-        check(rest[0], accounts, "account")
-    elif target == "bond-balance":
-        if len(rest) != 4:
-            raise ScenarioError(step.lineno, "assert bond-balance: expected BOND NAME CMP VALUE")
-        check(rest[0], bonds, "bond")
-        check(rest[1], accounts, "account")
-    elif target == "global-state":
-        if len(rest) != 4 or rest[1] not in _GLOBAL_KEYS:
-            raise ScenarioError(step.lineno, "assert global-state: expected BOND KEY CMP VALUE")
-        check(rest[0], bonds, "bond")
-    elif target == "local-state":
-        if len(rest) != 5 or rest[2] not in _LOCAL_KEYS:
-            raise ScenarioError(step.lineno, "assert local-state: expected BOND NAME KEY CMP VALUE")
-        check(rest[0], bonds, "bond")
-        check(rest[1], accounts, "account")
-    elif target == "rating":
-        if len(rest) != 4:
-            raise ScenarioError(step.lineno, "assert rating: expected BOND INDEX CMP VALUE")
-        check(rest[0], bonds, "bond")
-        index, rounds = parse_int(rest[1], step.lineno), bonds[rest[0]]
-        if not 0 <= index <= rounds:
-            raise ScenarioError(step.lineno, f"rating index out of range: {index} (bond has {rounds} rounds)")
-    else:
-        raise ScenarioError(step.lineno, f"unknown assert target: {target}")
-    cmp_token = rest[-2]
-    if cmp_token not in _COMPARATORS:
-        raise ScenarioError(step.lineno, f"unknown comparison: {cmp_token}")
-    _operand_parser(target, rest)(rest[-1], step.lineno)
-
-
-def _operand_parser(target: str, rest: tuple):
-    """How an assert's expected value is read: money, bonds or an integer."""
-    if target == "stablecoin-balance" or (target == "global-state" and rest[1] == "reserve"):
-        return parse_money
-    if target == "bond-balance" or (target == "local-state" and rest[2] == "trade"):
-        return parse_bonds
-    return parse_int
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +249,8 @@ class ScenarioRunner:
         self.stablecoin_id = self.ledger.create_asset(self.faucet, total=1_000_000_000_000, decimals=6)
         self.accounts: dict = {}
         self.bonds: dict = {}
-        self.offers: dict = {}
         self.reports: dict = {}
         self.last_action: Optional[SubmitResult] = None
-
-    # -- plumbing ------------------------------------------------------------
 
     def fund_stablecoin(self, addr: str, amount: int) -> None:
         try:
@@ -411,226 +266,367 @@ class ScenarioRunner:
 
     def run(self, steps: List[Step]) -> RunOutcome:
         outcome = RunOutcome(EXIT_OK)
+        transcript = outcome.transcript
         for n, step in enumerate(steps, start=1):
             try:
-                result = self._execute(step)
+                result = step.execute(self, *step.operands)
             except RunStopped as failure:
-                outcome.transcript.append(f"STEP {n} {step.verb} -> REJECTED({failure.code}: {failure})")
+                transcript.append(f"STEP {n} {step.verb} -> REJECTED({failure.code}: {failure})")
                 outcome.exit_code = EXIT_FAILURE
                 return outcome
-            if result is None:
-                outcome.transcript.append(f"STEP {n} {step.verb} -> APPROVED")
-            elif result.approved:
-                outcome.transcript.append(f"STEP {n} {step.verb} -> APPROVED")
-            else:
-                outcome.transcript.append(f"STEP {n} {step.verb} -> REJECTED({result.reason()})")
-        return outcome
-
-    # -- step dispatch ---------------------------------------------------------
-
-    def _execute(self, step: Step) -> Optional[SubmitResult]:
-        method = getattr(self, "_do_" + step.verb.replace("-", "_"))
-        return method(step)
-
-    def _do_create_account(self, step: Step) -> None:
-        self.accounts[step.args[0]] = self.ledger.create_account(step.args[0])
-
-    def _do_fund_algos(self, step: Step) -> None:
-        self.ledger.fund_algos(self.accounts[step.args[0]], parse_int(step.args[1], step.lineno))
-
-    def _do_fund_stablecoin(self, step: Step) -> None:
-        self.fund_stablecoin(self.accounts[step.args[0]], parse_money(step.args[1], step.lineno))
-
-    def _do_issue(self, step: Step) -> SubmitResult:
-        kv = _parse_kv(step.args[1:], step.lineno)
-        params = gb.BondParams(
-            total_bonds=parse_int(kv["bonds"], step.lineno),
-            coupon_rounds=parse_int(kv["rounds"], step.lineno),
-            start_buy=parse_int(kv["start-buy"], step.lineno),
-            end_buy=parse_int(kv["end-buy"], step.lineno),
-            maturity=parse_int(kv["maturity"], step.lineno),
-            bond_cost=parse_money(kv["cost"], step.lineno),
-            coupon_base=parse_money(kv["coupon"], step.lineno),
-            principal=parse_money(kv["principal"], step.lineno),
-            issuer=self.accounts[kv["issuer"]],
-            green_verifier=self.accounts[kv["verifier"]],
-            financial_regulator=self.accounts[kv["regulator"]],
-            stablecoin_id=self.stablecoin_id,
-        )
-        try:
-            dep = gb.issue(self.ledger, params, self.accounts[kv["operator"]])
-        except (LedgerError, ValueError) as exc:
-            self.last_action = SubmitResult(False, Rejection("issue_failed", {"error": str(exc)}))
-            return self.last_action
-        self.bonds[step.args[0]] = dep
-        # the issuer collects stablecoin sale proceeds; holding is free plumbing
-        self.fund_stablecoin(params.issuer, 0)
-        self.last_action = SubmitResult(True)
-        return self.last_action
-
-    def _do_approve_bond(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        value = parse_int(step.args[1], step.lineno) if len(step.args) > 1 else 1
-        self.last_action = gb.submit_freeze_all(self.ledger, dep, dep.params.financial_regulator, value)
-        return self.last_action
-
-    def _do_approve_account(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        addr = self.accounts[step.args[1]]
-        value = parse_int(step.args[2], step.lineno) if len(step.args) > 2 else 1
-        if not self.ledger.is_opted_in(addr, dep.main_app_id):
-            result = gb.register_investor(self.ledger, dep, addr)
-            if result.rejected:
+            if result is not None:
                 self.last_action = result
-                return result
-        self.last_action = gb.submit_freeze_account(
-            self.ledger, dep, dep.params.financial_regulator, addr, value
-        )
-        return self.last_action
-
-    def _do_freeze(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        value = parse_int(step.args[2], step.lineno)
-        regulator = dep.params.financial_regulator
-        if step.args[1] == "all":
-            self.last_action = gb.submit_freeze_all(self.ledger, dep, regulator, value)
-        else:
-            target = self.accounts[step.args[1]]
-            self.last_action = gb.submit_freeze_account(self.ledger, dep, regulator, target, value)
-        return self.last_action
-
-    def _do_buy(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        investor = self.accounts[step.args[1]]
-        amount = parse_bonds(step.args[2], step.lineno)
-        self.last_action = gb.submit_buy(self.ledger, dep, investor, amount)
-        return self.last_action
-
-    def _do_set_trade(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        seller = self.accounts[step.args[1]]
-        amount = parse_bonds(step.args[2], step.lineno)
-        self.last_action = gb.submit_set_trade(self.ledger, dep, seller, amount)
-        return self.last_action
-
-    def _do_offer(self, step: Step) -> None:
-        # keeps the terms; `_do_trade` builds the signature from them
-        dep = self._bond(step.args[0])
-        kv = _parse_kv(step.args[2:], step.lineno)
-        self.offers[step.args[1]] = (
-            dep,
-            self.accounts[kv["seller"]],
-            parse_money(kv["price"], step.lineno),
-            parse_int(kv["expiry"], step.lineno),
-        )
-
-    def _do_trade(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        offer = gb.make_trade_offer(*self.offers[step.args[1]])
-        buyer = self.accounts[step.args[2]]
-        amount = parse_bonds(step.args[3], step.lineno)
-        self.last_action = gb.submit_trade(self.ledger, dep, offer, buyer, amount)
-        return self.last_action
-
-    def _do_fund_escrow(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        funder = self.accounts[step.args[1]]
-        amount = parse_money(step.args[2], step.lineno)
-        self.last_action = gb.submit_fund_escrow(self.ledger, dep, funder, amount)
-        return self.last_action
-
-    def _do_rate(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        verifier = self.accounts[step.args[1]]
-        self.last_action = gb.submit_rate(self.ledger, dep, verifier, parse_int(step.args[2], step.lineno))
-        return self.last_action
-
-    def _do_claim_coupon(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        self.last_action = gb.submit_coupon(self.ledger, dep, self.accounts[step.args[1]])
-        return self.last_action
-
-    def _do_claim_principal(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        self.last_action = gb.submit_principal(self.ledger, dep, self.accounts[step.args[1]])
-        return self.last_action
-
-    def _do_claim_default(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        self.last_action = gb.submit_default(self.ledger, dep, self.accounts[step.args[1]])
-        return self.last_action
-
-    def _do_report_put(self, step: Step) -> None:
-        payload = step.raw.split(None, 2)[2]
-        if payload.startswith("data="):
-            data = payload[len("data="):].encode("utf-8")
-        else:
-            path = payload[len("file="):].strip()
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                raise RunStopped("file_unreadable", str(exc)) from None
-        self.reports[step.args[0]] = self.store.store(data)
-
-    def _do_report_anchor(self, step: Step) -> SubmitResult:
-        dep = self._bond(step.args[0])
-        sender = self.accounts[step.args[1]]
-        cid = self.reports[step.args[2]]
-        self.last_action = gb.submit_report_anchor(self.ledger, dep, sender, cid)
-        return self.last_action
-
-    def _do_advance_time(self, step: Step) -> None:
-        self.ledger.advance_time(parse_int(step.args[0], step.lineno))
-
-    # -- asserts ------------------------------------------------------------------
-
-    def _do_assert(self, step: Step) -> None:
-        target = step.args[0]
-        rest = step.args[1:]
-        if target == "rejected":
-            expected = not rest or rest[0] == "true"
-            if self.last_action is None:
-                raise AssertionFailure("no prior action")
-            if self.last_action.rejected != expected:
-                raise AssertionFailure(
-                    f"expected rejected={str(expected).lower()}, last action "
-                    f"{'rejected: ' + self.last_action.reason() if self.last_action.rejected else 'approved'}"
-                )
-            return
-        actual = self._assert_value(target, rest, step.lineno)
-        cmp_token = rest[-2]
-        expected = _operand_parser(target, rest)(rest[-1], step.lineno)
-        if not _COMPARATORS[cmp_token](actual, expected):
-            raise AssertionFailure(f"{target} {' '.join(rest[:-2])}: {actual} {cmp_token} {expected} is false")
-
-    def _assert_value(self, target: str, rest: tuple, lineno: int) -> int:
-        if target == "algo-balance":
-            return self.ledger.algo_balance(self.accounts[rest[0]])
-        if target == "stablecoin-balance":
-            return self.ledger.asset_balance(self.accounts[rest[0]], self.stablecoin_id)
-        if target == "cost-total":
-            return self.ledger.cost.total_for(self.accounts[rest[0]])
-        if target == "bond-balance":
-            dep = self._bond(rest[0])
-            return self.ledger.asset_balance(self.accounts[rest[1]], dep.bond_asset_id)
-        if target == "global-state":
-            dep = self._bond(rest[0])
-            return self.ledger.app_global(dep.main_app_id, _GLOBAL_KEYS[rest[1]]) or 0
-        if target == "local-state":
-            dep = self._bond(rest[0])
-            addr = self.accounts[rest[1]]
-            return self.ledger.app_local(addr, dep.main_app_id, _LOCAL_KEYS[rest[2]]) or 0
-        if target == "rating":
-            dep = self._bond(rest[0])
-            return gb.get_rating(self.ledger, dep, parse_int(rest[1], lineno))
-        raise AssertionFailure(f"unknown target {target}")
+            if result is None or result.approved:
+                transcript.append(f"STEP {n} {step.verb} -> APPROVED")
+            else:
+                transcript.append(f"STEP {n} {step.verb} -> REJECTED({result.reason()})")
+        return outcome
 
 
 def run_scenario_text(text: str) -> Tuple[RunOutcome, ScenarioRunner]:
     steps = parse_scenario(text)
     runner = ScenarioRunner()
     return runner.run(steps), runner
+
+
+# ---------------------------------------------------------------------------
+# the verbs: how each binds its tokens, and what it does with them
+
+
+def _bind_holder(scope: _Scope, lineno: int, args: tuple) -> tuple:
+    """BOND ACCOUNT, the first two arguments of most protocol steps."""
+    return scope.ref(lineno, args[0], "bond"), scope.ref(lineno, args[1], "account")
+
+
+def _non_negative(amount: int, token: str, lineno: int) -> int:
+    if amount < 0:
+        raise ScenarioError(lineno, f"negative amount: {token}")
+    return amount
+
+
+def _bind_create_account(scope, lineno, args):
+    return (scope.new(lineno, args[0], "account"),)
+
+
+def _create_account(runner, name):
+    runner.accounts[name] = runner.ledger.create_account(name)
+
+
+def _bind_fund_algos(scope, lineno, args):
+    return scope.ref(lineno, args[0], "account"), _non_negative(parse_int(args[1], lineno), args[1], lineno)
+
+
+def _fund_algos(runner, name, amount):
+    runner.ledger.fund_algos(runner.accounts[name], amount)
+
+
+def _bind_fund_stablecoin(scope, lineno, args):
+    return scope.ref(lineno, args[0], "account"), _non_negative(parse_money(args[1], lineno), args[1], lineno)
+
+
+def _fund_stablecoin(runner, name, amount):
+    runner.fund_stablecoin(runner.accounts[name], amount)
+
+
+_ISSUE_ROLES = ("operator", "issuer", "verifier", "regulator")
+_ISSUE_INTS = {"bonds": "total_bonds", "start-buy": "start_buy", "end-buy": "end_buy", "maturity": "maturity"}
+_ISSUE_MONEY = {"cost": "bond_cost", "coupon": "coupon_base", "principal": "principal"}
+_ISSUE_KEYS = {*_ISSUE_ROLES, *_ISSUE_INTS, *_ISSUE_MONEY, "rounds"}
+
+
+def _bind_issue(scope, lineno, args):
+    name = scope.new(lineno, args[0], "bond")
+    kv = _parse_kv(args[1:], lineno)
+    missing = _ISSUE_KEYS - kv.keys()
+    if missing:
+        raise ScenarioError(lineno, f"issue: missing {', '.join(sorted(missing))}")
+    unknown = kv.keys() - _ISSUE_KEYS
+    if unknown:
+        raise ScenarioError(lineno, f"issue: unknown {', '.join(sorted(unknown))}")
+    roles = tuple(scope.ref(lineno, kv[role], "account") for role in _ISSUE_ROLES)
+    terms = {param: parse_int(kv[key], lineno) for key, param in _ISSUE_INTS.items()}
+    terms.update({param: parse_money(kv[key], lineno) for key, param in _ISSUE_MONEY.items()})
+    terms["coupon_rounds"] = scope.rounds[name] = parse_int(kv["rounds"], lineno)
+    return name, roles, terms
+
+
+def _issue(runner, name, roles, terms):
+    operator, issuer, verifier, regulator = (runner.accounts[role] for role in roles)
+    params = gb.BondParams(
+        **terms,
+        issuer=issuer,
+        green_verifier=verifier,
+        financial_regulator=regulator,
+        stablecoin_id=runner.stablecoin_id,
+    )
+    try:
+        dep = gb.issue(runner.ledger, params, operator)
+    except (LedgerError, ValueError) as exc:
+        return SubmitResult(False, Rejection("issue_failed", {"error": str(exc)}))
+    runner.bonds[name] = dep
+    # the issuer collects stablecoin sale proceeds; holding is free plumbing
+    runner.fund_stablecoin(issuer, 0)
+    return SubmitResult(True)
+
+
+def _bind_approve_bond(scope, lineno, args):  # runs as `freeze BOND all VALUE`, VALUE 1 by default
+    bond = scope.ref(lineno, args[0], "bond")
+    return bond, "all", parse_int(args[1], lineno) if len(args) > 1 else 1
+
+
+def _bind_approve_account(scope, lineno, args):
+    bond, name = _bind_holder(scope, lineno, args)
+    return bond, name, parse_int(args[2], lineno) if len(args) > 2 else 1
+
+
+def _approve_account(runner, bond, name, value):
+    dep = runner._bond(bond)
+    addr = runner.accounts[name]
+    if not runner.ledger.is_opted_in(addr, dep.main_app_id):
+        result = gb.register_investor(runner.ledger, dep, addr)
+        if result.rejected:
+            return result
+    return gb.submit_freeze_account(runner.ledger, dep, dep.params.financial_regulator, addr, value)
+
+
+def _bind_freeze(scope, lineno, args):
+    bond = scope.ref(lineno, args[0], "bond")
+    if args[1] != "all":
+        scope.ref(lineno, args[1], "account")
+    return bond, args[1], parse_int(args[2], lineno)
+
+
+def _freeze(runner, bond, target, value):
+    dep = runner._bond(bond)
+    regulator = dep.params.financial_regulator
+    if target == "all":
+        return gb.submit_freeze_all(runner.ledger, dep, regulator, value)
+    return gb.submit_freeze_account(runner.ledger, dep, regulator, runner.accounts[target], value)
+
+
+def _bind_quantity(scope, lineno, args):  # BOND ACCOUNT QUANTITY
+    return (*_bind_holder(scope, lineno, args), parse_bonds(args[2], lineno))
+
+
+def _buy(runner, bond, investor, amount):
+    return gb.submit_buy(runner.ledger, runner._bond(bond), runner.accounts[investor], amount)
+
+
+def _set_trade(runner, bond, seller, amount):
+    return gb.submit_set_trade(runner.ledger, runner._bond(bond), runner.accounts[seller], amount)
+
+
+_OFFER_KEYS = frozenset(("seller", "price", "expiry"))
+
+
+def _bind_offer(scope, lineno, args):
+    bond = scope.ref(lineno, args[0], "bond")
+    kv = _parse_kv(args[2:], lineno)
+    if kv.keys() != _OFFER_KEYS:
+        raise ScenarioError(lineno, "offer: expected seller=, price=, expiry=")
+    # one string per seller, not one per offer line: scripts hold many offers
+    seller = sys.intern(scope.ref(lineno, kv["seller"], "account"))
+    terms = bond, seller, parse_money(kv["price"], lineno), parse_int(kv["expiry"], lineno)
+    scope.offers[scope.new(lineno, args[1], "offer")] = terms
+    return terms
+
+
+def _offer(runner, bond, seller, price, expiry):
+    # the terms are bound to each `trade` that names the offer; the run only
+    # checks that the bond was issued
+    runner._bond(bond)
+
+
+def _bind_trade(scope, lineno, args):
+    bond = scope.ref(lineno, args[0], "bond")
+    offer = scope.offers[scope.ref(lineno, args[1], "offer")]
+    buyer = scope.ref(lineno, args[2], "account")
+    return bond, offer, buyer, parse_bonds(args[3], lineno)
+
+
+def _trade(runner, bond, offer, buyer, amount):
+    dep = runner._bond(bond)
+    offer_bond, seller, price, expiry = offer
+    signed = gb.make_trade_offer(runner.bonds[offer_bond], runner.accounts[seller], price, expiry)
+    return gb.submit_trade(runner.ledger, dep, signed, runner.accounts[buyer], amount)
+
+
+def _bind_fund_escrow(scope, lineno, args):
+    return (*_bind_holder(scope, lineno, args), parse_money(args[2], lineno))
+
+
+def _fund_escrow(runner, bond, funder, amount):
+    return gb.submit_fund_escrow(runner.ledger, runner._bond(bond), runner.accounts[funder], amount)
+
+
+def _bind_rate(scope, lineno, args):
+    return (*_bind_holder(scope, lineno, args), parse_int(args[2], lineno))
+
+
+def _rate(runner, bond, verifier, rating):
+    return gb.submit_rate(runner.ledger, runner._bond(bond), runner.accounts[verifier], rating)
+
+
+def _claim_coupon(runner, bond, investor):
+    return gb.submit_coupon(runner.ledger, runner._bond(bond), runner.accounts[investor])
+
+
+def _claim_principal(runner, bond, investor):
+    return gb.submit_principal(runner.ledger, runner._bond(bond), runner.accounts[investor])
+
+
+def _claim_default(runner, bond, investor):
+    return gb.submit_default(runner.ledger, runner._bond(bond), runner.accounts[investor])
+
+
+def _bind_report_put(scope, lineno, args):
+    payload = scope.line.split(None, 2)[2]
+    if payload.startswith("data="):
+        data, path = payload[len("data="):].encode("utf-8"), None
+    elif payload.startswith("file="):
+        data, path = None, payload[len("file="):].strip()
+    else:
+        raise ScenarioError(lineno, "report-put: expected data=... or file=...")
+    return scope.new(lineno, args[0], "report"), data, path
+
+
+def _report_put(runner, name, data, path):
+    if path is not None:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise RunStopped("file_unreadable", str(exc)) from None
+    runner.reports[name] = runner.store.store(data)
+
+
+def _bind_report_anchor(scope, lineno, args):
+    return (*_bind_holder(scope, lineno, args), scope.ref(lineno, args[2], "report"))
+
+
+def _report_anchor(runner, bond, sender, report):
+    dep = runner._bond(bond)
+    return gb.submit_report_anchor(runner.ledger, dep, runner.accounts[sender], runner.reports[report])
+
+
+def _bind_advance_time(scope, lineno, args):
+    t = parse_int(args[0], lineno)
+    if t < scope.last_time:
+        raise ScenarioError(lineno, f"time moves backwards: {t} < {scope.last_time}")
+    scope.last_time = t
+    return (t,)
+
+
+def _advance_time(runner, t):
+    runner.ledger.advance_time(t)
+
+
+# assert TARGET OPERANDS... CMP VALUE: the operands each target names, and how
+# it reads the actual value from the run
+_ASSERT_TARGETS = {
+    "algo-balance": ("NAME", lambda r, a: r.ledger.algo_balance(r.accounts[a])),
+    "stablecoin-balance": ("NAME", lambda r, a: r.ledger.asset_balance(r.accounts[a], r.stablecoin_id)),
+    "cost-total": ("NAME", lambda r, a: r.ledger.cost.total_for(r.accounts[a])),
+    "bond-balance": (
+        "BOND NAME",
+        lambda r, b, a: r.ledger.asset_balance(r.accounts[a], r._bond(b).bond_asset_id),
+    ),
+    "global-state": ("BOND KEY", lambda r, b, key: r.ledger.app_global(r._bond(b).main_app_id, key) or 0),
+    "local-state": (
+        "BOND NAME KEY",
+        lambda r, b, a, key: r.ledger.app_local(r.accounts[a], r._bond(b).main_app_id, key) or 0,
+    ),
+    "rating": ("BOND INDEX", lambda r, b, index: gb.get_rating(r.ledger, r._bond(b), index)),
+}
+
+
+def _bind_assert(scope, lineno, args):
+    target, rest = args[0], args[1:]
+    if target == "rejected":
+        if rest and rest[0] not in ("true", "false"):
+            raise ScenarioError(lineno, "assert rejected: expected true or false")
+        return _assert_rejected, not rest or rest[0] == "true"
+    if target not in _ASSERT_TARGETS:
+        raise ScenarioError(lineno, f"unknown assert target: {target}")
+    shape, read = _ASSERT_TARGETS[target]
+    kinds = shape.split()
+    keys = _GLOBAL_KEYS if target == "global-state" else _LOCAL_KEYS
+    if len(rest) != len(kinds) + 2 or ("KEY" in kinds and rest[kinds.index("KEY")] not in keys):
+        raise ScenarioError(lineno, f"assert {target}: expected {shape} CMP VALUE")
+    operands = []
+    for kind, token in zip(kinds, rest):
+        if kind == "BOND":
+            operands.append(scope.ref(lineno, token, "bond"))
+        elif kind == "NAME":
+            operands.append(scope.ref(lineno, token, "account"))
+        elif kind == "KEY":
+            operands.append(keys[token])
+        else:  # INDEX: a rating round, 0 up to the bond's rounds
+            index, rounds = parse_int(token, lineno), scope.rounds[rest[0]]
+            if not 0 <= index <= rounds:
+                raise ScenarioError(lineno, f"rating index out of range: {index} (bond has {rounds} rounds)")
+            operands.append(index)
+    cmp_token = rest[-2]
+    if cmp_token not in _COMPARATORS:
+        raise ScenarioError(lineno, f"unknown comparison: {cmp_token}")
+    expected = _operand_parser(target, rest)(rest[-1], lineno)
+    label = f"{target} {' '.join(rest[:-2])}"
+    return _assert_compare, read, tuple(operands), cmp_token, _COMPARATORS[cmp_token], expected, label
+
+
+def _operand_parser(target: str, rest: tuple):
+    """How an assert's expected value is read: money, bonds or an integer."""
+    if target == "stablecoin-balance" or (target == "global-state" and rest[1] == "reserve"):
+        return parse_money
+    if target == "bond-balance" or (target == "local-state" and rest[2] == "trade"):
+        return parse_bonds
+    return parse_int
+
+
+def _assert(runner, check, *operands):
+    """An assert step binds which check it makes, with that check's operands."""
+    check(runner, *operands)
+
+
+def _assert_rejected(runner, expected):
+    last = runner.last_action
+    if last is None:
+        raise AssertionFailure("no prior action")
+    if last.rejected != expected:
+        raise AssertionFailure(
+            f"expected rejected={str(expected).lower()}, last action "
+            f"{'rejected: ' + last.reason() if last.rejected else 'approved'}"
+        )
+
+
+def _assert_compare(runner, read, names, cmp_token, compare, expected, label):
+    actual = read(runner, *names)
+    if not compare(actual, expected):
+        raise AssertionFailure(f"{label}: {actual} {cmp_token} {expected} is false")
+
+
+_VERBS = {
+    "create-account": _Verb(1, _bind_create_account, _create_account),
+    "fund-algos": _Verb(2, _bind_fund_algos, _fund_algos),
+    "fund-stablecoin": _Verb(2, _bind_fund_stablecoin, _fund_stablecoin),
+    "issue": _Verb(2, _bind_issue, _issue),
+    "approve-bond": _Verb(1, _bind_approve_bond, _freeze),
+    "approve-account": _Verb(2, _bind_approve_account, _approve_account),
+    "freeze": _Verb(3, _bind_freeze, _freeze),
+    "buy": _Verb(3, _bind_quantity, _buy),
+    "set-trade": _Verb(3, _bind_quantity, _set_trade),
+    "offer": _Verb(2, _bind_offer, _offer),
+    "trade": _Verb(4, _bind_trade, _trade),
+    "fund-escrow": _Verb(3, _bind_fund_escrow, _fund_escrow),
+    "rate": _Verb(3, _bind_rate, _rate),
+    "claim-coupon": _Verb(2, _bind_holder, _claim_coupon),
+    "claim-principal": _Verb(2, _bind_holder, _claim_principal),
+    "claim-default": _Verb(2, _bind_holder, _claim_default),
+    "report-put": _Verb(2, _bind_report_put, _report_put),
+    "report-anchor": _Verb(3, _bind_report_anchor, _report_anchor),
+    "advance-time": _Verb(1, _bind_advance_time, _advance_time),
+    "assert": _Verb(1, _bind_assert, _assert),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from decimal import Decimal, DecimalException
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bondsim.scenario import UNIT, ScenarioError, parse_money
+from bondsim.scenario import UNIT, ScenarioError, parse_bonds, parse_money
 
 
 def reference_parse_money(token: str, lineno: int = 0) -> int:
@@ -15,6 +15,8 @@ def reference_parse_money(token: str, lineno: int = 0) -> int:
             scaled = Decimal(token[1:]) * UNIT
             if scaled != scaled.to_integral_value():
                 raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
+            if scaled and scaled.adjusted() >= 4300:  # more than 4,300 digits
+                raise ValueError(token)
             return int(scaled)
         return int(token)
     except (DecimalException, ValueError, OverflowError):
@@ -58,6 +60,13 @@ tokens = st.one_of(
 @example("$NaN")
 @example("$sNaN")
 @example("$1e1000000")
+@example("$1e4293")
+@example("$1e4294")
+@example("$0E4300")
+@example("$-1e4294")
+@example("$1e999990")
+@example("1" * 4300)
+@example("1" * 4301)
 def test_parse_money_matches_decimal_reference(token):
     assert outcome(parse_money, token) == outcome(reference_parse_money, token)
 
@@ -66,3 +75,17 @@ def test_whole_dollars_are_exact():
     assert parse_money("$0") == 0
     assert parse_money("$0012") == 12 * UNIT
     assert parse_money("$" + "9" * 22) == int("9" * 22) * UNIT
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=4280, max_value=999_990))
+@example(4293)
+@example(4294)
+@example(999_990)
+def test_bond_quantities_of_more_than_4300_digits_are_refused(exponent):
+    token = f"1e{exponent}"
+    if exponent + 6 < 4300:  # 1 followed by exponent + 6 zeros
+        assert parse_bonds(token) == 10 ** (exponent + 6)
+    else:
+        assert outcome(parse_bonds, token) == ("error", f"line 7: bad bond quantity: {token}")
+    assert parse_bonds(f"0e{exponent}") == 0
