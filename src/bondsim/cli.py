@@ -31,25 +31,26 @@ DEFAULT_STORE = "report-store"
 _CONTENT_ID_RE = re.compile(r"[0-9a-f]{64}")  # SHA-256 hex digest; never a path
 
 
-def _read_scenario(path: str):
+def _replay(path: str):
+    """(runner, outcome) of a replay of the scenario at `path`, or None
+    after reporting why it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        steps = parse_scenario(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return None
-    try:
-        return parse_scenario(text)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    runner = ScenarioRunner()
+    return runner, runner.run(steps)
 
 
 def _cmd_run(args) -> int:
-    steps = _read_scenario(args.scenario)
-    if steps is None:
+    replay = _replay(args.scenario)
+    if replay is None:
         return EXIT_USAGE
-    runner = ScenarioRunner()
-    outcome = runner.run(steps)
+    outcome = replay[1]
     text = outcome.transcript_text()
     sys.stdout.write(text)
     if args.transcript:
@@ -58,11 +59,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_costs(args) -> int:
-    steps = _read_scenario(args.scenario)
-    if steps is None:
+    replay = _replay(args.scenario)
+    if replay is None:
         return EXIT_USAGE
-    runner = ScenarioRunner()
-    outcome = runner.run(steps)
+    runner, outcome = replay
     if outcome.exit_code != EXIT_OK:
         sys.stdout.write(outcome.transcript_text())
         print("error: scenario did not run cleanly", file=sys.stderr)
@@ -71,48 +71,34 @@ def _cmd_costs(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(raw: str, kind: str) -> Optional[list]:
-    try:
-        return [float(v) for v in raw.split(",") if v != ""]
-    except ValueError:
-        print(f"error: bad {kind} list: {raw}", file=sys.stderr)
-        return None
-
-
 def _cmd_price_curve(args) -> int:
     if args.sweep and args.coupon_rates:
         print("error: choose either --sweep T --values ... or --coupon-rates ...", file=sys.stderr)
         return EXIT_USAGE
-    if args.sweep:
-        if args.sweep != "T":
-            print(f"error: unknown sweep variable: {args.sweep}", file=sys.stderr)
-            return EXIT_USAGE
-        if not args.values:
-            print("error: --sweep requires --values", file=sys.stderr)
-            return EXIT_USAGE
-        values = _parse_float_list(args.values, "values")
-        if values is None:
-            return EXIT_USAGE
-        rows = pricing.curve(
-            pricing.SWEEP_PERIODS,
-            [int(v) for v in values],
-            face=args.face,
-            rate=args.rate,
-            coupon_rate=args.coupon_rate,
-        )
-    elif args.coupon_rates:
-        values = _parse_float_list(args.coupon_rates, "coupon rates")
-        if values is None:
-            return EXIT_USAGE
-        rows = pricing.curve(
-            pricing.SWEEP_COUPON_RATE,
-            values,
-            face=args.face,
-            rate=args.rate,
-            periods=args.periods,
-        )
-    else:
+    if args.sweep and args.sweep != "T":
+        print(f"error: unknown sweep variable: {args.sweep}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.sweep and not args.values:
+        print("error: --sweep requires --values", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.sweep and not args.coupon_rates:
         print("error: nothing to sweep", file=sys.stderr)
+        return EXIT_USAGE
+    raw = args.values if args.sweep else args.coupon_rates
+    try:
+        values = [float(v) for v in raw.split(",") if v != ""]
+    except ValueError:
+        print(f"error: bad {'values' if args.sweep else 'coupon rates'} list: {raw}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.sweep:
+        sweep, fixed = pricing.SWEEP_PERIODS, {"coupon_rate": args.coupon_rate}
+    else:
+        sweep, fixed = pricing.SWEEP_COUPON_RATE, {"periods": args.periods}
+    try:  # a negative or non-finite period count, a rate of -1 or less, an overflowing price
+        values = [int(v) for v in values] if args.sweep else values
+        rows = pricing.curve(sweep, values, face=args.face, rate=args.rate, **fixed)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     lines = ["rating,sweep_value,price"]
@@ -171,11 +157,10 @@ def _cmd_report(args) -> int:
     if not args.scenario or not args.issuer or not args.bond:
         print("error: report list requires SCENARIO ISSUER BOND", file=sys.stderr)
         return EXIT_USAGE
-    steps = _read_scenario(args.scenario)
-    if steps is None:
+    replay = _replay(args.scenario)
+    if replay is None:
         return EXIT_USAGE
-    runner = ScenarioRunner()
-    outcome = runner.run(steps)
+    runner, outcome = replay
     if outcome.exit_code != EXIT_OK:
         print("error: scenario did not run cleanly", file=sys.stderr)
         return outcome.exit_code
@@ -239,7 +224,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command == "report":
         args.scenario = args.target
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output file or store directory the arguments name
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,12 +21,16 @@ The bond asset is minted frozen, so holders can never move it directly;
 0 means "frozen/blocked" for both the global and per-account approval
 flags, which is why a bond starts unsellable until the financial regulator
 approves it and each investor.
+
+Every action runs as one atomic group with one shape (see "group shapes"):
+its builder, the apps' checks and the trade-offer predicate all read it.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .ledger import (
     Address,
@@ -91,7 +95,7 @@ ACT_DEFAULTED = b"defaulted"
 ACT_NOT_DEFAULTED = b"not_defaulted"
 ACT_CLAIM_DEFAULT = b"claim_default"
 
-# cost-report row labels
+# cost-report row labels (an action's own rows are named with its group shape)
 ROW_CREATE_ASA = "Create new ASA"
 ROW_FUND_ESCROWS = "Fund contract accounts"
 ROW_CONFIGURE = "Send green bond to escrow and configure"
@@ -101,15 +105,6 @@ ROW_UPDATE_APPS = "Update Apps"
 ROW_UPLOAD_REPORT = "Upload Report"
 ROW_OPT_IN_ASA = "Opt into ASA"
 ROW_OPT_IN_APP = "Opt into App"
-ROW_BUY = "Buy"
-ROW_TRADE_SELL = "Trade Sell"
-ROW_TRADE_BUY = "Trade Buy"
-ROW_CLAIM_COUPON = "Claim Coupon"
-ROW_CLAIM_PRINCIPAL = "Claim Principal"
-ROW_CLAIM_DEFAULT = "Claim Default"
-ROW_RATE = "Rate"
-ROW_FREEZE = "Freeze"
-ROW_FUND_ESCROW_STABLECOIN = "Fund Escrow"
 
 ISSUANCE_ROW_ORDER = (
     ROW_CREATE_ASA,
@@ -237,6 +232,268 @@ def format_usd(base_units: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# group shapes
+#
+# Every action runs as one atomic group whose shape is the protocol's safety
+# boundary: which transaction sits at which index, who sends it, which asset
+# it moves and how much.  Each action's shape and cost rows are defined once,
+# below.  Its builder fills the shape in; the main app checks the legs after
+# its own call, the manage app the head and the payout, and a trade offer
+# the legs of a trade.  A pin is Python source: a field equals an expression
+# (or None), or is a `_Pin`; `txns` is the group (in a builder, the legs built
+# so far) and `$name` an operand of the deployment, the bond or the action.
+# Like a dataclass's `__init__`, each builder and check is compiled (once, on
+# its first call) into a plain function: a handler pays for its comparisons.
+
+
+class _Pin(NamedTuple):
+    """A pin that is not plain equality: `value` is what a builder writes, and
+    `broken` is true when a group breaks the pin, whose field is `$actual`."""
+
+    value: str
+    broken: str
+
+
+def _pin(operand) -> _Pin:
+    if isinstance(operand, _Pin):
+        return operand
+    if operand is None:
+        return _Pin("None", "$actual is not None")
+    return _Pin(operand, f"$actual != {operand}")
+
+
+def _at_least_fee(leg: int) -> _Pin:
+    """A refund of another leg's fee, signed by the actor: at least the fee.
+    Builders leave every fee flat."""
+    return _Pin("FLAT_FEE", f"$actual < txns[{leg}].fee")
+
+
+def _positive(operand: str) -> _Pin:
+    """Any positive amount; the builder writes the operand."""
+    return _Pin(operand, "$actual <= 0")
+
+
+def _action(action: bytes, *values: str) -> _Pin:
+    """An app call's arguments: the action, which is pinned, then values in
+    decimal, which only the builder writes."""
+    args = "".join(f" str({value}).encode('ascii')," for value in values)
+    return _Pin(f"({action!r},{args})", f"$actual[:1] != ({action!r},)")
+
+
+# Where a compiled function reads an operand: a builder or a trade offer from
+# the deployment record `dep`; a check in the main or the manage app from its
+# call's context `ctx` and the bond's `params`.  Any other operand is the
+# action's own, passed by keyword.
+_SIDES = ("dep", "main", "manage")
+_PEER = f"ctx.config({CFG_PEER_APP!r})"
+_SOURCES = {
+    "actor": ("actor", "ctx.sender", "ctx.sender"),
+    "main_app": ("dep.main_app_id", "ctx.app_id", _PEER),
+    "manage_app": ("dep.manage_app_id", _PEER, "ctx.app_id"),
+    "bond_asset": ("dep.bond_asset_id", *[f"ctx.config({CFG_BOND_ASSET!r})"] * 2),
+    "bond_escrow": ("dep.bond_escrow", *[f"ctx.config({CFG_BOND_ESCROW!r})"] * 2),
+    "stablecoin_escrow": ("dep.stablecoin_escrow", *[f"ctx.config({CFG_STABLECOIN_ESCROW!r})"] * 2),
+    "stablecoin": ("dep.params.stablecoin_id", *["params.stablecoin_id"] * 2),
+    "issuer": ("dep.params.issuer", *["params.issuer"] * 2),
+    "bond_cost": ("dep.params.bond_cost", *["params.bond_cost"] * 2),
+    "principal": ("dep.params.principal", *["params.principal"] * 2),
+    "bond_lsig": ("dep.bond_escrow_lsig",),
+    "stablecoin_lsig": ("dep.stablecoin_escrow_lsig",),
+}
+_OPERAND = re.compile(r"\$(\w+)")
+_NAMESPACE = {kind.__name__: kind for kind in (AppCall, AssetTransfer, Payment, TransactionGroup)}
+
+
+def _compile(owner, name: str, arguments: str, side: str, render: Callable) -> None:
+    """Set `owner.name` to `name(arguments, *, the action's own operands)`, compiled
+    on its first call from the lines `render(source)` returns: `source(text, actual)`
+    puts `actual` for `$actual` and a local, bound first or a keyword, for `$operand`."""
+
+    def first_call(*args, **kwargs):
+        column, used = _SIDES.index(side), {}
+
+        def bind(match) -> str:
+            used[match.group(1)] = None
+            return match.group(1)
+
+        def source(text: str, actual: str = "") -> str:
+            return _OPERAND.sub(bind, text.replace("$actual", actual))
+
+        body = render(source)
+        own = [operand for operand in used if operand not in _SOURCES]
+        head = f"def {name}({', '.join([arguments, '*', *own]) if own else arguments}):"
+        bound = [f"{operand} = {_SOURCES[operand][column]}" for operand in used if operand in _SOURCES]
+        namespace = {**_NAMESPACE, "FLAT_FEE": FLAT_FEE, "UNIT": UNIT}
+        exec("\n    ".join([head, *bound, *body]), namespace)
+        setattr(owner, name, namespace[name])
+        return namespace[name](*args, **kwargs)
+
+    setattr(owner, name, first_call)
+
+
+class _Leg:
+    """One transaction of a shape: kind, pins, and fields only the builder writes."""
+
+    def __init__(self, kind: type, build: Optional[dict] = None, **pins):
+        self.kind, self.extra = kind, build or {}
+        self.pins = {field: _pin(operand) for field, operand in pins.items()}
+
+
+class _Shape:
+    """An action's legs in group order, and its cost rows (the index of the
+    leg whose sender pays -> the row's label).  `build(dep, actor, **own)`
+    makes the group."""
+
+    def __init__(self, labels: dict, *legs: _Leg):
+        self.labels, self.legs = labels, legs
+        _compile(self, "build", "dep, actor", "dep", self._render)
+
+    def _render(self, source: Callable) -> list:
+        lines = ["txns = []"]
+        for leg in self.legs:
+            fields = [f"{field}={source(pin.value)}" for field, pin in leg.pins.items()]
+            fields += [f"{field}={source(text)}" for field, text in leg.extra.items()]
+            lines.append(f"txns.append({leg.kind.__name__}({', '.join(fields)}))")
+        return [*lines, "return TransactionGroup(tuple(txns))"]
+
+
+class _Check:
+    """Some of a shape's pins, as one party checks them: leg index -> fields
+    checked there (None: all), by default every leg after the head.  The
+    checking transaction sits at an index in `at` of a group of the shape's
+    size or, with `whole=False`, one reaching the last leg checked; `stricter`
+    replaces pins: (leg index, field) -> pin.  An app's check (`side` "main"
+    or "manage") is `require(ctx, params, code, **own)`, denying the call with
+    the leg index and field of the first pin broken; a trade offer's ("dep")
+    is `failure(txns, at, dep, actor, **own)`, returning them, or None."""
+
+    def __init__(self, shape: _Shape, pins: Optional[dict] = None, at=(0,), whole=True, stricter=None, side="main"):
+        pins = pins or dict.fromkeys(range(1, len(shape.legs)))
+        stricter = {key: _pin(operand) for key, operand in (stricter or {}).items()}
+        fail = "return {}, {!r}" if side == "dep" else "ctx.deny(code, leg={}, field={!r})"
+
+        def render(source: Callable) -> list:
+            size = len(shape.legs) if whole else max(pins) + 1
+            lines = [] if side == "dep" else ["txns, at = ctx.group.txns, ctx.txn_index"]
+            lines.append(f"if at not in {at!r}: {fail.format('at', 'position')}")
+            lines.append(f"if len(txns) {'!=' if whole else '<'} {size}: {fail.format(None, 'size')}")
+            for index, fields in pins.items():
+                lines.append(f"t = txns[{index}]")
+                lines.append(f"if not isinstance(t, {shape.legs[index].kind.__name__}): {fail.format(index, 'type')}")
+                for field, pin in shape.legs[index].pins.items():
+                    if fields is None or field in fields:
+                        broken = stricter.get((index, field), pin).broken
+                        lines.append(f"if {source(broken, 't.' + field)}: {fail.format(index, field)}")
+            return [*lines, "return None"]
+
+        if side == "dep":
+            _compile(self, "failure", "txns, at, dep, actor", side, render)
+        else:
+            _compile(self, "require", "ctx, params, code='bad_group'", side, render)
+
+
+def _main_call(action: bytes, *values: str, build: Optional[dict] = None) -> _Leg:
+    return _Leg(AppCall, build, sender="$actor", app_id="$main_app", args=_action(action, *values))
+
+
+def _refund(escrow: str, leg: int, build: Optional[dict] = None) -> _Leg:
+    return _Leg(Payment, build, sender="$actor", receiver=escrow, amount=_at_least_fee(leg))
+
+
+def _bond_move(build: dict, **pins) -> _Leg:
+    return _Leg(AssetTransfer, build, asset_id="$bond_asset", sender="$bond_escrow", **pins)
+
+
+def _stablecoin_move(build: Optional[dict] = None, **pins) -> _Leg:
+    return _Leg(AssetTransfer, build, asset_id="$stablecoin", revoke_target=None, **pins)
+
+
+# the accounts and apps a protocol call names, so that its handler may read them
+_CALLS_MANAGE = {"accounts": "($bond_escrow,)", "apps": "($manage_app,)"}
+_CALLS_MAIN = {"accounts": "($stablecoin_escrow, $bond_escrow)", "apps": "($main_app,)"}
+_BY_BOND_ESCROW = {"signature": "$bond_lsig"}
+_BY_STABLECOIN_ESCROW = {"signature": "$stablecoin_lsig"}
+
+
+def _surrender(action: bytes, check: bytes, label: str, payout: str) -> _Shape:
+    """Principal and default: all the actor's bonds back for a guarded payout."""
+    return _Shape(
+        {0: label},
+        _main_call(action, build=_CALLS_MANAGE),
+        _Leg(AppCall, _CALLS_MAIN, sender="$actor", app_id="$manage_app", args=_action(check)),
+        _bond_move(_BY_BOND_ESCROW, revoke_target="$actor", receiver="$bond_escrow", amount="$holdings"),
+        _stablecoin_move(_BY_STABLECOIN_ESCROW, sender="$stablecoin_escrow", receiver="$actor", amount=payout),
+        _refund("$bond_escrow", 2),
+        _refund("$stablecoin_escrow", 3),
+    )
+
+
+# issuance: the bond escrow pulls the minted supply from the operator and
+# seeds the stablecoin escrow's minimum balance
+_SETUP = _Shape(
+    {},
+    _bond_move(_BY_BOND_ESCROW, revoke_target="$actor", receiver="$bond_escrow", amount="$supply"),
+    _Leg(Payment, _BY_BOND_ESCROW, sender="$bond_escrow", receiver="$stablecoin_escrow", amount="$seed"),
+)
+_FREEZE_ALL = _Shape({0: "Freeze"}, _main_call(ACT_FREEZE_ALL, "$value"))
+_FREEZE = _Shape({0: "Freeze"}, _main_call(ACT_FREEZE, "$value", build={"accounts": "($target,)"}))
+_SET_TRADE = _Shape({0: "Trade Sell"}, _main_call(ACT_SET_TRADE, "$quantity"))
+_RATE = _Shape({0: "Rate"}, _Leg(AppCall, sender="$actor", app_id="$manage_app", args=_action(ACT_RATE, "$rating")))
+# anyone may fund the payment escrow; only its outflows are gated
+_FUND_ESCROW = _Shape(
+    {0: "Fund Escrow"},
+    _Leg(AssetTransfer, sender="$actor", asset_id="$stablecoin", receiver="$stablecoin_escrow", amount="$quantity"),
+)
+_BUY = _Shape(
+    {0: "Buy"},
+    _main_call(ACT_BUY),
+    _refund("$bond_escrow", 2),
+    _bond_move(_BY_BOND_ESCROW, revoke_target="$bond_escrow", receiver="$actor", amount=_positive("$quantity")),
+    _stablecoin_move(sender="$actor", receiver="$issuer", amount="txns[2].amount * $bond_cost // UNIT"),
+)
+# the actor is the seller, whose two legs the seller's offer signs
+_TRADE = _Shape(
+    {0: "Trade Sell", 3: "Trade Buy"},
+    _main_call(ACT_TRADE, build={"accounts": "($buyer,)", "signature": "$offer"}),
+    _refund("$bond_escrow", 2, build={"signature": "$offer"}),
+    _bond_move({"receiver": "$buyer", **_BY_BOND_ESCROW}, revoke_target="$actor", amount=_positive("$quantity")),
+    _stablecoin_move(sender="txns[2].receiver", receiver="$actor", amount="txns[2].amount * $price // UNIT"),
+)
+_COUPON = _Shape(
+    {0: "Claim Coupon"},
+    _main_call(ACT_COUPON, build=_CALLS_MANAGE),
+    _Leg(AppCall, _CALLS_MAIN, sender="$actor", app_id="$manage_app", args=_action(ACT_NOT_DEFAULTED)),
+    _refund("$stablecoin_escrow", 3),
+    _stablecoin_move(_BY_STABLECOIN_ESCROW, sender="$stablecoin_escrow", receiver="$actor", amount="$payout"),
+)
+_PRINCIPAL = _surrender(ACT_SELL, ACT_NOT_DEFAULTED, "Claim Principal", "txns[2].amount * $principal // UNIT")
+_DEFAULT = _surrender(ACT_DEFAULT, ACT_CLAIM_DEFAULT, "Claim Default", "$payout")
+
+_BUY_CHECK = _Check(_BUY)
+_TRADE_CHECK = _Check(_TRADE, {1: None, 2: None})  # the buyer's payment is the offer's to check
+# the offer signs the seller's refund, so it must be the fee exactly: with
+# "at least", a buyer could drain the seller's Algos into the escrow
+_TRADE_OFFER_CHECK = _Check(
+    _TRADE,
+    {0: None, 1: None, 2: ("asset_id", "revoke_target", "amount"), 3: None},
+    at=(0, 1),
+    stricter={(1, "amount"): "txns[2].fee"},
+    side="dep",
+)
+_COUPON_CHECK = _Check(_COUPON)
+_SELL_CHECK = _Check(_PRINCIPAL)
+# the payout's amount is the manage app's to check
+_DEFAULT_CHECK = _Check(
+    _DEFAULT, {1: None, 2: None, 3: ("asset_id", "revoke_target", "sender", "receiver"), 4: None, 5: None}
+)
+# the manage app checks the head, and the payout it guards
+_COUPON_HEAD = _Check(_COUPON, {0: None, 3: ("asset_id",)}, at=(1,), whole=False, side="manage")
+_SELL_HEAD = _Check(_PRINCIPAL, {0: None, 3: ("asset_id",)}, at=(1,), whole=False, side="manage")
+_CLAIM_DEFAULT_HEAD = _Check(_DEFAULT, {0: None}, at=(1,), side="manage")
+_CLAIM_DEFAULT_PAYOUT = _Check(_DEFAULT, {3: ("asset_id", "receiver", "amount")}, at=(1,), side="manage")
+
+
+# ---------------------------------------------------------------------------
 # stateful programs
 
 
@@ -298,36 +555,7 @@ def _main_buy(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
     if not params.start_buy <= ctx.now < params.end_buy:
         ctx.deny("outside_buy_window")
-    txns = ctx.group.txns
-    ctx.require(len(txns) == 4 and ctx.txn_index == 0, "bad_group")
-    t1, t2, t3 = txns[1], txns[2], txns[3]
-    bond_escrow = ctx.config(CFG_BOND_ESCROW)
-    bond_asset = ctx.config(CFG_BOND_ASSET)
-    ctx.require(
-        isinstance(t1, Payment)
-        and t1.sender == ctx.sender
-        and t1.receiver == bond_escrow
-        and t1.amount >= t2.fee,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t2, AssetTransfer)
-        and t2.asset_id == bond_asset
-        and t2.sender == bond_escrow
-        and t2.revoke_target == bond_escrow
-        and t2.receiver == ctx.sender
-        and t2.amount > 0,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t3, AssetTransfer)
-        and t3.asset_id == params.stablecoin_id
-        and t3.revoke_target is None
-        and t3.sender == ctx.sender
-        and t3.receiver == params.issuer
-        and t3.amount == t2.amount * params.bond_cost // UNIT,
-        "bad_group",
-    )
+    _BUY_CHECK.require(ctx, params)
 
 
 def _main_set_trade(ctx: CallContext, params: BondParams) -> None:
@@ -340,27 +568,9 @@ def _main_set_trade(ctx: CallContext, params: BondParams) -> None:
 def _main_trade(ctx: CallContext, params: BondParams) -> None:
     seller = ctx.sender
     _require_active(ctx, params, seller)
-    txns = ctx.group.txns
-    ctx.require(len(txns) == 4 and ctx.txn_index == 0, "bad_group")
-    t1, t2 = txns[1], txns[2]
-    bond_escrow = ctx.config(CFG_BOND_ESCROW)
-    bond_asset = ctx.config(CFG_BOND_ASSET)
-    ctx.require(
-        isinstance(t1, Payment)
-        and t1.sender == seller
-        and t1.receiver == bond_escrow
-        and t1.amount >= t2.fee,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t2, AssetTransfer)
-        and t2.asset_id == bond_asset
-        and t2.sender == bond_escrow
-        and t2.revoke_target == seller
-        and t2.amount > 0,
-        "bad_group",
-    )
-    buyer = t2.receiver
+    _TRADE_CHECK.require(ctx, params)
+    bond_move = ctx.group.txns[2]
+    buyer = bond_move.receiver
     if not ctx.is_opted_in(buyer):
         ctx.deny("not_registered", account=buyer)
     if ctx.local_uint(buyer, KEY_FROZEN) == 0:
@@ -368,9 +578,9 @@ def _main_trade(ctx: CallContext, params: BondParams) -> None:
     # the selling allowance is the replay protection for delegated offers:
     # every executed trade burns allowance, and 0 blocks further trades
     allowance = ctx.local_uint(seller, KEY_TRADE)
-    if t2.amount > allowance:
-        ctx.deny("allowance_exceeded", requested=t2.amount, allowance=allowance)
-    ctx.local_put(seller, KEY_TRADE, allowance - t2.amount)
+    if bond_move.amount > allowance:
+        ctx.deny("allowance_exceeded", requested=bond_move.amount, allowance=allowance)
+    ctx.local_put(seller, KEY_TRADE, allowance - bond_move.amount)
 
 
 def _slot_rating(raw, slot: int) -> int:
@@ -386,9 +596,6 @@ def _rating_key(slot: int) -> bytes:
 def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
     bond_asset = ctx.config(CFG_BOND_ASSET)
-    bond_escrow = ctx.config(CFG_BOND_ESCROW)
-    sc_escrow = ctx.config(CFG_STABLECOIN_ESCROW)
-    manage_app = ctx.config(CFG_PEER_APP)
     holdings = ctx.asset_balance(ctx.sender, bond_asset)
     if holdings <= 0:
         ctx.deny("no_bonds")
@@ -397,43 +604,17 @@ def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     if paid >= claimable:
         ctx.deny("nothing_claimable", coupons_paid=paid, claimable=claimable)
     round_no = paid + 1
-    rating = _slot_rating(ctx.global_value(_rating_key(round_no), app_id=manage_app), round_no)
+    rating = _slot_rating(ctx.global_value(_rating_key(round_no), app_id=ctx.config(CFG_PEER_APP)), round_no)
     per_bond = effective_coupon(params.coupon_base, rating if rating else TOP_RATING)
     expected = holdings * per_bond // UNIT
-
-    txns = ctx.group.txns
-    ctx.require(len(txns) == 4 and ctx.txn_index == 0, "bad_group")
-    t1, t2, t3 = txns[1], txns[2], txns[3]
-    ctx.require(
-        isinstance(t1, AppCall)
-        and t1.app_id == manage_app
-        and t1.sender == ctx.sender
-        and t1.args[:1] == (ACT_NOT_DEFAULTED,),
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t2, Payment)
-        and t2.sender == ctx.sender
-        and t2.receiver == sc_escrow
-        and t2.amount >= t3.fee,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t3, AssetTransfer)
-        and t3.asset_id == params.stablecoin_id
-        and t3.revoke_target is None
-        and t3.sender == sc_escrow
-        and t3.receiver == ctx.sender
-        and t3.amount == expected,
-        "bad_group",
-    )
+    _COUPON_CHECK.require(ctx, params, payout=expected)
 
     ctx.local_put(ctx.sender, KEY_COUPONS_PAID, round_no)
     reserve = ctx.global_uint(KEY_RESERVE)
     if round_no > ctx.global_uint(KEY_COUPONS_PAID):
         # first claim of this round: reserve the full obligation for every
         # circulating bond, then let each claim (this one included) work it off
-        circulation = params.supply_base_units - ctx.asset_balance(bond_escrow, bond_asset)
+        circulation = params.supply_base_units - ctx.asset_balance(ctx.config(CFG_BOND_ESCROW), bond_asset)
         ctx.global_put(KEY_COUPONS_PAID, round_no)
         reserve += per_bond * circulation // UNIT
     ctx.global_put(KEY_RESERVE, reserve - expected)
@@ -443,62 +624,18 @@ def _main_sell(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
     if ctx.now < params.maturity:
         ctx.deny("before_maturity")
-    bond_asset = ctx.config(CFG_BOND_ASSET)
-    bond_escrow = ctx.config(CFG_BOND_ESCROW)
-    sc_escrow = ctx.config(CFG_STABLECOIN_ESCROW)
-    manage_app = ctx.config(CFG_PEER_APP)
-    holdings = ctx.asset_balance(ctx.sender, bond_asset)
+    holdings = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET))
     if holdings <= 0:
         ctx.deny("no_bonds")
     paid = ctx.local_uint(ctx.sender, KEY_COUPONS_PAID)
     if paid != params.coupon_rounds:
         ctx.deny("unclaimed_coupons", coupons_paid=paid, coupon_rounds=params.coupon_rounds)
-
-    txns = ctx.group.txns
-    ctx.require(len(txns) == 6 and ctx.txn_index == 0, "bad_group")
-    t1, t2, t3, t4, t5 = txns[1], txns[2], txns[3], txns[4], txns[5]
-    ctx.require(
-        isinstance(t1, AppCall)
-        and t1.app_id == manage_app
-        and t1.sender == ctx.sender
-        and t1.args[:1] == (ACT_NOT_DEFAULTED,),
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t2, AssetTransfer)
-        and t2.asset_id == bond_asset
-        and t2.sender == bond_escrow
-        and t2.revoke_target == ctx.sender
-        and t2.receiver == bond_escrow
-        and t2.amount == holdings,  # redemption forfeits every bond owned
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t3, AssetTransfer)
-        and t3.asset_id == params.stablecoin_id
-        and t3.revoke_target is None
-        and t3.sender == sc_escrow
-        and t3.receiver == ctx.sender
-        and t3.amount == holdings * params.principal // UNIT,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t4, Payment) and t4.sender == ctx.sender and t4.receiver == bond_escrow and t4.amount >= t2.fee,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t5, Payment) and t5.sender == ctx.sender and t5.receiver == sc_escrow and t5.amount >= t3.fee,
-        "bad_group",
-    )
+    _SELL_CHECK.require(ctx, params, holdings=holdings)  # redemption forfeits every bond owned
 
 
 def _main_default(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
-    bond_asset = ctx.config(CFG_BOND_ASSET)
-    bond_escrow = ctx.config(CFG_BOND_ESCROW)
-    sc_escrow = ctx.config(CFG_STABLECOIN_ESCROW)
-    manage_app = ctx.config(CFG_PEER_APP)
-    holdings = ctx.asset_balance(ctx.sender, bond_asset)
+    holdings = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET))
     if holdings <= 0:
         ctx.deny("no_bonds")
     # recovery is only open to holders who already collected every unlocked
@@ -506,42 +643,36 @@ def _main_default(ctx: CallContext, params: BondParams) -> None:
     paid = ctx.local_uint(ctx.sender, KEY_COUPONS_PAID)
     if paid != ctx.global_uint(KEY_COUPONS_PAID):
         ctx.deny("behind_on_coupons", coupons_paid=paid, unlocked=ctx.global_uint(KEY_COUPONS_PAID))
+    _DEFAULT_CHECK.require(ctx, params, holdings=holdings)
 
-    txns = ctx.group.txns
-    ctx.require(len(txns) == 6 and ctx.txn_index == 0, "bad_group")
-    t1, t2, t3, t4, t5 = txns[1], txns[2], txns[3], txns[4], txns[5]
-    ctx.require(
-        isinstance(t1, AppCall)
-        and t1.app_id == manage_app
-        and t1.sender == ctx.sender
-        and t1.args[:1] == (ACT_CLAIM_DEFAULT,),
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t2, AssetTransfer)
-        and t2.asset_id == bond_asset
-        and t2.sender == bond_escrow
-        and t2.revoke_target == ctx.sender
-        and t2.receiver == bond_escrow
-        and t2.amount == holdings,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t3, AssetTransfer)
-        and t3.asset_id == params.stablecoin_id
-        and t3.revoke_target is None
-        and t3.sender == sc_escrow
-        and t3.receiver == ctx.sender,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t4, Payment) and t4.sender == ctx.sender and t4.receiver == bond_escrow and t4.amount >= t2.fee,
-        "bad_group",
-    )
-    ctx.require(
-        isinstance(t5, Payment) and t5.sender == ctx.sender and t5.receiver == sc_escrow and t5.amount >= t3.fee,
-        "bad_group",
-    )
+
+def _approval(params: BondParams, dispatch: dict, opt_in: Callable[[CallContext], None]):
+    """An app's approval handler: `opt_in` on opt-in, reconfiguration at
+    deployment, free close-out, and otherwise the first argument's handler."""
+
+    def approval(ctx: CallContext) -> None:
+        oc = ctx.on_complete
+        if oc is OnComplete.OPT_IN:
+            opt_in(ctx)
+            return
+        if oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
+            _handle_reconfigure(ctx)
+            return
+        if oc in (OnComplete.CLOSE_OUT, OnComplete.CLEAR_STATE):
+            return
+        action = ctx.arg(0)
+        handler = dispatch.get(action)
+        if handler is None:
+            ctx.deny("unknown_action", action=action.decode("ascii", "replace"))
+        handler(ctx, params)
+
+    return approval
+
+
+def _main_opt_in(ctx: CallContext) -> None:
+    ctx.local_put(ctx.sender, KEY_COUPONS_PAID, 0)
+    ctx.local_put(ctx.sender, KEY_TRADE, 0)
+    ctx.local_put(ctx.sender, KEY_FROZEN, 0)
 
 
 def build_main_program(params: BondParams) -> StatefulProgram:
@@ -555,29 +686,10 @@ def build_main_program(params: BondParams) -> StatefulProgram:
         ACT_SELL: _main_sell,
         ACT_DEFAULT: _main_default,
     }
-
-    def approval(ctx: CallContext) -> None:
-        oc = ctx.on_complete
-        if oc is OnComplete.OPT_IN:
-            ctx.local_put(ctx.sender, KEY_COUPONS_PAID, 0)
-            ctx.local_put(ctx.sender, KEY_TRADE, 0)
-            ctx.local_put(ctx.sender, KEY_FROZEN, 0)
-            return
-        if oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
-            _handle_reconfigure(ctx)
-            return
-        if oc in (OnComplete.CLOSE_OUT, OnComplete.CLEAR_STATE):
-            return
-        action = ctx.arg(0)
-        handler = dispatch.get(action)
-        if handler is None:
-            ctx.deny("unknown_action", action=action.decode("ascii", "replace"))
-        handler(ctx, params)
-
     return StatefulProgram(
         name="green-bond-main",
         schema=StateSchema(global_uints=3, local_uints=3),
-        approval=approval,
+        approval=_approval(params, dispatch, _main_opt_in),
         min_balance_create=MAIN_APP_MIN_BALANCE,
         min_balance_opt_in=MAIN_APP_MIN_BALANCE,
     )
@@ -622,44 +734,25 @@ def _next_obligation(ctx: CallContext, params: BondParams, main_app: int, circul
 
 def _manage_not_defaulted(ctx: CallContext, params: BondParams) -> None:
     txns = ctx.group.txns
-    ctx.require(ctx.txn_index == 1 and len(txns) >= 4, "bad_group")
-    main_app = ctx.config(CFG_PEER_APP)
-    head = txns[0]
-    ctx.require(
-        isinstance(head, AppCall)
-        and head.app_id == main_app
-        and head.sender == ctx.sender
-        and head.args[:1] in ((ACT_COUPON,), (ACT_SELL,)),
-        "bad_group",
-    )
-    payout = txns[3]
-    ctx.require(isinstance(payout, AssetTransfer) and payout.asset_id == params.stablecoin_id, "bad_group")
+    selling = getattr(txns[0], "args", ())[:1] == (ACT_SELL,)
+    (_SELL_HEAD if selling else _COUPON_HEAD).require(ctx, params)
     funds = _escrow_funds(ctx, params)
-    reserve = ctx.global_uint(KEY_RESERVE, app_id=main_app)
-    if head.args[0] == ACT_SELL:
+    reserve = ctx.global_uint(KEY_RESERVE, app_id=ctx.config(CFG_PEER_APP))
+    if selling:
         # principal redemption: every circulating bond must be redeemable on
         # top of the coupon reserve still owed to slower claimants
         required = reserve + _circulation(ctx, params) * params.principal // UNIT
     else:
         # the reserve was already debited by this claim, so adding the pending
         # payout back reconstructs the full outstanding obligation
-        required = reserve + payout.amount
+        required = reserve + txns[3].amount
     if funds < required:
         ctx.deny("escrow_shortfall", required=required, available=funds)
 
 
 def _manage_claim_default(ctx: CallContext, params: BondParams) -> None:
-    txns = ctx.group.txns
-    ctx.require(ctx.txn_index == 1 and len(txns) == 6, "bad_group")
+    _CLAIM_DEFAULT_HEAD.require(ctx, params)
     main_app = ctx.config(CFG_PEER_APP)
-    head = txns[0]
-    ctx.require(
-        isinstance(head, AppCall)
-        and head.app_id == main_app
-        and head.sender == ctx.sender
-        and head.args[:1] == (ACT_DEFAULT,),
-        "bad_group",
-    )
     funds = _escrow_funds(ctx, params)
     reserve = ctx.global_uint(KEY_RESERVE, app_id=main_app)
     circulation = _circulation(ctx, params)
@@ -667,15 +760,8 @@ def _manage_claim_default(ctx: CallContext, params: BondParams) -> None:
     if funds >= reserve + _next_obligation(ctx, params, main_app, circulation):
         ctx.deny("not_in_default", available=funds)
     holdings = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET))
-    expected = (funds - reserve) * holdings // circulation
-    payout = txns[3]
-    ctx.require(
-        isinstance(payout, AssetTransfer)
-        and payout.asset_id == params.stablecoin_id
-        and payout.receiver == ctx.sender
-        and payout.amount == expected,
-        "bad_payout",
-    )
+    payout = (funds - reserve) * holdings // circulation
+    _CLAIM_DEFAULT_PAYOUT.require(ctx, params, "bad_payout", payout=payout)
 
 
 def _manage_defaulted(ctx: CallContext, params: BondParams) -> None:
@@ -689,6 +775,10 @@ def _manage_defaulted(ctx: CallContext, params: BondParams) -> None:
         ctx.deny("not_in_default", available=funds)
 
 
+def _manage_opt_in(ctx: CallContext) -> None:
+    ctx.deny("no_local_state")
+
+
 def build_manage_program(params: BondParams) -> StatefulProgram:
     slots = rating_slot_count(params.coupon_rounds)
     dispatch = {
@@ -697,26 +787,10 @@ def build_manage_program(params: BondParams) -> StatefulProgram:
         ACT_CLAIM_DEFAULT: _manage_claim_default,
         ACT_DEFAULTED: _manage_defaulted,
     }
-
-    def approval(ctx: CallContext) -> None:
-        oc = ctx.on_complete
-        if oc is OnComplete.OPT_IN:
-            ctx.deny("no_local_state")
-        if oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
-            _handle_reconfigure(ctx)
-            return
-        if oc in (OnComplete.CLOSE_OUT, OnComplete.CLEAR_STATE):
-            return
-        action = ctx.arg(0)
-        handler = dispatch.get(action)
-        if handler is None:
-            ctx.deny("unknown_action", action=action.decode("ascii", "replace"))
-        handler(ctx, params)
-
     return StatefulProgram(
         name="green-bond-manage",
         schema=StateSchema(global_bytes=slots),
-        approval=approval,
+        approval=_approval(params, dispatch, _manage_opt_in),
         min_balance_create=MANAGE_APP_BASE_MIN_BALANCE + MANAGE_APP_PER_SLOT_MIN_BALANCE * slots,
         min_balance_opt_in=MANAGE_APP_BASE_MIN_BALANCE,
     )
@@ -785,14 +859,12 @@ def build_bond_escrow_program(main_app_id: int, sibling_escrow: Address) -> Stat
 # issuance
 
 
-def _configure_args(pairs: dict, finalize: bool) -> tuple:
+def _configure_args(pairs: dict) -> tuple:
     args = [b"configure"]
     for key, value in pairs.items():
         args.append(key.encode("ascii"))
         args.append(str(value).encode("ascii"))
-    if finalize:
-        args.append(b"finalize")
-    return tuple(args)
+    return (*args, b"finalize")
 
 
 def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployment:
@@ -835,24 +907,15 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     )
     ledger.cost.record(operator, ROW_CREATE_ASA, min_delta=ledger.schedule.asset_create, fee=FLAT_FEE, tag=main_id)
 
-    config = {
-        CFG_BOND_ASSET: asset_id,
-        CFG_BOND_ESCROW: bond_escrow,
-        CFG_STABLECOIN_ESCROW: sc_escrow,
-    }
+    config = {CFG_BOND_ASSET: asset_id, CFG_BOND_ESCROW: bond_escrow, CFG_STABLECOIN_ESCROW: sc_escrow}
     updates = [
         AppCall(
             sender=operator,
-            app_id=main_id,
+            app_id=app_id,
             on_complete=OnComplete.UPDATE_APPLICATION,
-            args=_configure_args({**config, CFG_PEER_APP: manage_id}, finalize=True),
-        ),
-        AppCall(
-            sender=operator,
-            app_id=manage_id,
-            on_complete=OnComplete.UPDATE_APPLICATION,
-            args=_configure_args({**config, CFG_PEER_APP: main_id}, finalize=True),
-        ),
+            args=_configure_args({**config, CFG_PEER_APP: peer}),
+        )
+        for app_id, peer in ((main_id, manage_id), (manage_id, main_id))
     ]
     _submit_or_raise(ledger, updates, "linking applications")
     ledger.cost.record(operator, ROW_UPDATE_APPS, fee=2 * FLAT_FEE, tag=main_id)
@@ -869,31 +932,20 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     )
     ledger.cost.record(operator, ROW_FUND_ESCROWS, amount=ESCROW_FUNDING, fee=FLAT_FEE, tag=main_id)
 
-    bond_lsig = LogicSig(bond_program)
-    setup = [
-        AssetTransfer(
-            sender=bond_escrow,
-            asset_id=asset_id,
-            receiver=bond_escrow,
-            amount=params.supply_base_units,
-            revoke_target=operator,
-            signature=bond_lsig,
-        ),
-        Payment(sender=bond_escrow, receiver=sc_escrow, amount=ESCROW_SEED, signature=bond_lsig),
-    ]
-    _submit_or_raise(ledger, setup, "moving supply into escrow")
-    ledger.cost.record(operator, ROW_CONFIGURE, fee=2 * FLAT_FEE, tag=main_id)
-
-    return BondDeployment(
+    dep = BondDeployment(
         bond_asset_id=asset_id,
         main_app_id=main_id,
         manage_app_id=manage_id,
         bond_escrow=bond_escrow,
         stablecoin_escrow=sc_escrow,
         params=params,
-        bond_escrow_lsig=bond_lsig,
+        bond_escrow_lsig=LogicSig(bond_program),
         stablecoin_escrow_lsig=LogicSig(sc_program),
     )
+    setup = _SETUP.build(dep, operator, supply=params.supply_base_units, seed=ESCROW_SEED)
+    _submit_or_raise(ledger, setup, "moving supply into escrow")
+    ledger.cost.record(operator, ROW_CONFIGURE, fee=2 * FLAT_FEE, tag=main_id)
+    return dep
 
 
 def _submit_or_raise(ledger: Ledger, txns, stage: str) -> None:
@@ -907,156 +959,44 @@ def _submit_or_raise(ledger: Ledger, txns, stage: str) -> None:
 
 
 def build_freeze_all_group(dep: BondDeployment, sender: Address, value: int) -> TransactionGroup:
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=sender,
-                app_id=dep.main_app_id,
-                args=(ACT_FREEZE_ALL, str(value).encode("ascii")),
-            ),
-        )
-    )
+    return _FREEZE_ALL.build(dep, sender, value=value)
 
 
 def build_freeze_account_group(dep: BondDeployment, sender: Address, target: Address, value: int) -> TransactionGroup:
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=sender,
-                app_id=dep.main_app_id,
-                args=(ACT_FREEZE, str(value).encode("ascii")),
-                accounts=(target,),
-            ),
-        )
-    )
+    return _FREEZE.build(dep, sender, target=target, value=value)
 
 
 def build_buy_group(dep: BondDeployment, investor: Address, amount: int) -> TransactionGroup:
     """Primary-market purchase of `amount` bond base units at the issue cost."""
-    p = dep.params
-    bond_move = AssetTransfer(
-        sender=dep.bond_escrow,
-        asset_id=dep.bond_asset_id,
-        receiver=investor,
-        amount=amount,
-        revoke_target=dep.bond_escrow,
-        signature=dep.bond_escrow_lsig,
-    )
-    return TransactionGroup(
-        (
-            AppCall(sender=investor, app_id=dep.main_app_id, args=(ACT_BUY,)),
-            Payment(sender=investor, receiver=dep.bond_escrow, amount=bond_move.fee),
-            bond_move,
-            AssetTransfer(
-                sender=investor,
-                asset_id=p.stablecoin_id,
-                receiver=p.issuer,
-                amount=amount * p.bond_cost // UNIT,
-            ),
-        )
-    )
+    return _BUY.build(dep, investor, quantity=amount)
 
 
 def build_set_trade_group(dep: BondDeployment, seller: Address, amount: int) -> TransactionGroup:
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=seller,
-                app_id=dep.main_app_id,
-                args=(ACT_SET_TRADE, str(amount).encode("ascii")),
-            ),
-        )
-    )
+    return _SET_TRADE.build(dep, seller, quantity=amount)
 
 
 def make_trade_offer(dep: BondDeployment, seller: Address, price_per_bond: int, expiry: int) -> TradeOffer:
     """Delegated signature a buyer can use to execute the seller's side of a
     trade at the stated price until expiry.  The offer itself never touches
     the ledger; replay is bounded by the seller's on-ledger trade allowance."""
-    main_app_id = dep.main_app_id
-    bond_asset_id = dep.bond_asset_id
-    stablecoin_id = dep.params.stablecoin_id
-    bond_escrow = dep.bond_escrow
-
     def predicate(group, idx, now) -> bool:
-        if now >= expiry:
-            return False
-        txns = group.txns
-        if len(txns) != 4 or idx not in (0, 1):
-            return False
-        t0, t1, t2, t3 = txns
-        return (
-            isinstance(t0, AppCall)
-            and t0.app_id == main_app_id
-            and t0.sender == seller
-            and t0.args[:1] == (ACT_TRADE,)
-            and isinstance(t1, Payment)
-            and t1.sender == seller
-            and t1.receiver == bond_escrow
-            and t1.amount == t2.fee
-            and isinstance(t2, AssetTransfer)
-            and t2.asset_id == bond_asset_id
-            and t2.revoke_target == seller
-            and t2.amount > 0
-            and isinstance(t3, AssetTransfer)
-            and t3.asset_id == stablecoin_id
-            and t3.revoke_target is None
-            and t3.sender == t2.receiver
-            and t3.receiver == seller
-            and t3.amount == t2.amount * price_per_bond // UNIT
-        )
+        return now < expiry and _TRADE_OFFER_CHECK.failure(group.txns, idx, dep, seller, price=price_per_bond) is None
 
     program = StatelessProgram(
         "trade-offer",
-        (main_app_id, seller, price_per_bond, expiry),
+        (dep.main_app_id, seller, price_per_bond, expiry),
         predicate,
     )
     return TradeOffer(seller, price_per_bond, expiry, LogicSig(program, delegator=seller))
 
 
 def build_trade_group(dep: BondDeployment, offer: TradeOffer, buyer: Address, amount: int) -> TransactionGroup:
-    bond_move = AssetTransfer(
-        sender=dep.bond_escrow,
-        asset_id=dep.bond_asset_id,
-        receiver=buyer,
-        amount=amount,
-        revoke_target=offer.seller,
-        signature=dep.bond_escrow_lsig,
-    )
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=offer.seller,
-                app_id=dep.main_app_id,
-                args=(ACT_TRADE,),
-                accounts=(buyer,),
-                signature=offer.lsig,
-            ),
-            Payment(sender=offer.seller, receiver=dep.bond_escrow, amount=bond_move.fee, signature=offer.lsig),
-            bond_move,
-            AssetTransfer(
-                sender=buyer,
-                asset_id=dep.params.stablecoin_id,
-                receiver=offer.seller,
-                amount=amount * offer.price_per_bond // UNIT,
-            ),
-        )
-    )
+    return _TRADE.build(dep, offer.seller, buyer=buyer, quantity=amount, price=offer.price_per_bond, offer=offer.lsig)
 
 
 def build_fund_escrow_group(dep: BondDeployment, funder: Address, amount: int) -> TransactionGroup:
-    """Stablecoin into the payment escrow.  Anyone may fund; only outflows
-    are gated by the escrow logic."""
-    return TransactionGroup(
-        (
-            AssetTransfer(
-                sender=funder,
-                asset_id=dep.params.stablecoin_id,
-                receiver=dep.stablecoin_escrow,
-                amount=amount,
-            ),
-        )
-    )
+    """Stablecoin into the payment escrow."""
+    return _FUND_ESCROW.build(dep, funder, quantity=amount)
 
 
 def build_coupon_group(ledger: Ledger, dep: BondDeployment, investor: Address) -> TransactionGroup:
@@ -1068,137 +1008,28 @@ def build_coupon_group(ledger: Ledger, dep: BondDeployment, investor: Address) -
     round_no = min(paid + 1, max(p.coupon_rounds, 1))
     rating = get_rating(ledger, dep, round_no) if round_no <= p.coupon_rounds else 0
     per_bond = effective_coupon(p.coupon_base, rating if rating else TOP_RATING)
-    payout = AssetTransfer(
-        sender=dep.stablecoin_escrow,
-        asset_id=p.stablecoin_id,
-        receiver=investor,
-        amount=holdings * per_bond // UNIT,
-        signature=dep.stablecoin_escrow_lsig,
-    )
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=investor,
-                app_id=dep.main_app_id,
-                args=(ACT_COUPON,),
-                accounts=(dep.bond_escrow,),
-                apps=(dep.manage_app_id,),
-            ),
-            AppCall(
-                sender=investor,
-                app_id=dep.manage_app_id,
-                args=(ACT_NOT_DEFAULTED,),
-                accounts=(dep.stablecoin_escrow, dep.bond_escrow),
-                apps=(dep.main_app_id,),
-            ),
-            Payment(sender=investor, receiver=dep.stablecoin_escrow, amount=payout.fee),
-            payout,
-        )
-    )
+    return _COUPON.build(dep, investor, payout=holdings * per_bond // UNIT)
 
 
 def build_principal_group(ledger: Ledger, dep: BondDeployment, investor: Address) -> TransactionGroup:
     """Principal redemption: all bonds owned return to escrow in exchange for
     the face value of each."""
-    p = dep.params
-    holdings = ledger.asset_balance(investor, dep.bond_asset_id)
-    bond_move = AssetTransfer(
-        sender=dep.bond_escrow,
-        asset_id=dep.bond_asset_id,
-        receiver=dep.bond_escrow,
-        amount=holdings,
-        revoke_target=investor,
-        signature=dep.bond_escrow_lsig,
-    )
-    payout = AssetTransfer(
-        sender=dep.stablecoin_escrow,
-        asset_id=p.stablecoin_id,
-        receiver=investor,
-        amount=holdings * p.principal // UNIT,
-        signature=dep.stablecoin_escrow_lsig,
-    )
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=investor,
-                app_id=dep.main_app_id,
-                args=(ACT_SELL,),
-                accounts=(dep.bond_escrow,),
-                apps=(dep.manage_app_id,),
-            ),
-            AppCall(
-                sender=investor,
-                app_id=dep.manage_app_id,
-                args=(ACT_NOT_DEFAULTED,),
-                accounts=(dep.stablecoin_escrow, dep.bond_escrow),
-                apps=(dep.main_app_id,),
-            ),
-            bond_move,
-            payout,
-            Payment(sender=investor, receiver=dep.bond_escrow, amount=bond_move.fee),
-            Payment(sender=investor, receiver=dep.stablecoin_escrow, amount=payout.fee),
-        )
-    )
+    return _PRINCIPAL.build(dep, investor, holdings=ledger.asset_balance(investor, dep.bond_asset_id))
 
 
 def build_default_group(ledger: Ledger, dep: BondDeployment, investor: Address) -> TransactionGroup:
     """Default recovery: surrender all bonds for a pro-rata share of the
     escrow funds above the reserve, at current circulation."""
-    p = dep.params
     holdings = ledger.asset_balance(investor, dep.bond_asset_id)
-    funds = ledger.asset_balance(dep.stablecoin_escrow, p.stablecoin_id)
+    funds = ledger.asset_balance(dep.stablecoin_escrow, dep.params.stablecoin_id)
     reserve = ledger.app_global(dep.main_app_id, KEY_RESERVE) or 0
     circulation = bonds_in_circulation(ledger, dep)
-    payout_amount = (funds - reserve) * holdings // circulation if circulation else 0
-    bond_move = AssetTransfer(
-        sender=dep.bond_escrow,
-        asset_id=dep.bond_asset_id,
-        receiver=dep.bond_escrow,
-        amount=holdings,
-        revoke_target=investor,
-        signature=dep.bond_escrow_lsig,
-    )
-    payout = AssetTransfer(
-        sender=dep.stablecoin_escrow,
-        asset_id=p.stablecoin_id,
-        receiver=investor,
-        amount=payout_amount,
-        signature=dep.stablecoin_escrow_lsig,
-    )
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=investor,
-                app_id=dep.main_app_id,
-                args=(ACT_DEFAULT,),
-                accounts=(dep.bond_escrow,),
-                apps=(dep.manage_app_id,),
-            ),
-            AppCall(
-                sender=investor,
-                app_id=dep.manage_app_id,
-                args=(ACT_CLAIM_DEFAULT,),
-                accounts=(dep.stablecoin_escrow, dep.bond_escrow),
-                apps=(dep.main_app_id,),
-            ),
-            bond_move,
-            payout,
-            Payment(sender=investor, receiver=dep.bond_escrow, amount=bond_move.fee),
-            Payment(sender=investor, receiver=dep.stablecoin_escrow, amount=payout.fee),
-        )
-    )
+    payout = (funds - reserve) * holdings // circulation if circulation else 0
+    return _DEFAULT.build(dep, investor, holdings=holdings, payout=payout)
 
 
 def build_rate_group(dep: BondDeployment, verifier: Address, rating: int) -> TransactionGroup:
-    return TransactionGroup(
-        (
-            AppCall(
-                sender=verifier,
-                app_id=dep.manage_app_id,
-                args=(ACT_RATE, str(rating).encode("ascii")),
-            ),
-        )
-    )
+    return _RATE.build(dep, verifier, rating=rating)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,38 +1050,37 @@ def bonds_in_circulation(ledger: Ledger, dep: BondDeployment) -> int:
 
 def main_global_state(ledger: Ledger, dep: BondDeployment) -> Tuple[int, int, int]:
     """(coupons_paid, reserve, frozen) from the main app's global state."""
-    return (
-        ledger.app_global(dep.main_app_id, KEY_COUPONS_PAID) or 0,
-        ledger.app_global(dep.main_app_id, KEY_RESERVE) or 0,
-        ledger.app_global(dep.main_app_id, KEY_FROZEN) or 0,
-    )
+    keys = KEY_COUPONS_PAID, KEY_RESERVE, KEY_FROZEN
+    return tuple(ledger.app_global(dep.main_app_id, key) or 0 for key in keys)
 
 
 def investor_local_state(ledger: Ledger, dep: BondDeployment, investor: Address) -> Tuple[int, int, int]:
     """(coupons_paid, trade, frozen) from the investor's main-app local state."""
-    return (
-        ledger.app_local(investor, dep.main_app_id, KEY_COUPONS_PAID) or 0,
-        ledger.app_local(investor, dep.main_app_id, KEY_TRADE) or 0,
-        ledger.app_local(investor, dep.main_app_id, KEY_FROZEN) or 0,
-    )
+    keys = KEY_COUPONS_PAID, KEY_TRADE, KEY_FROZEN
+    return tuple(ledger.app_local(investor, dep.main_app_id, key) or 0 for key in keys)
 
 
 # ---------------------------------------------------------------------------
-# submit helpers: build, submit, and record costs on approval
+# submitting actions: build, submit, and record costs on approval
+#
+# Each `submit_*` builds its group through the module's `build_*_group`, then
+# takes the one path below.
 
 
-def _own_costs(group: TransactionGroup, actor: Address, escrows: Tuple[Address, ...]) -> Tuple[int, int]:
-    """(fee, escrow reimbursement amount) paid by `actor` in `group`."""
-    fee = sum(t.fee for t in group.txns if t.sender == actor)
-    amount = sum(
-        t.amount for t in group.txns if isinstance(t, Payment) and t.sender == actor and t.receiver in escrows
-    )
-    return fee, amount
-
-
-def _record_action(ledger: Ledger, dep: BondDeployment, group: TransactionGroup, actor: Address, label: str) -> None:
-    fee, amount = _own_costs(group, actor, (dep.bond_escrow, dep.stablecoin_escrow))
-    ledger.cost.record(actor, label, amount=amount, fee=fee, tag=dep.main_app_id)
+def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: TransactionGroup) -> SubmitResult:
+    """Submit an action's group; once approved, record each payer's row: its
+    fees plus the fee refunds it paid the escrows."""
+    result = ledger.submit_group(group)
+    if result.approved:
+        escrows = (dep.bond_escrow, dep.stablecoin_escrow)
+        for leg, label in shape.labels.items():
+            payer = group.txns[leg].sender
+            fee = sum(t.fee for t in group.txns if t.sender == payer)
+            refunds = sum(
+                t.amount for t in group.txns if isinstance(t, Payment) and t.sender == payer and t.receiver in escrows
+            )
+            ledger.cost.record(payer, label, amount=refunds, fee=fee, tag=dep.main_app_id)
+    return result
 
 
 def register_investor(ledger: Ledger, dep: BondDeployment, investor: Address) -> SubmitResult:
@@ -1274,84 +1104,43 @@ def register_investor(ledger: Ledger, dep: BondDeployment, investor: Address) ->
 
 
 def submit_freeze_all(ledger: Ledger, dep: BondDeployment, sender: Address, value: int) -> SubmitResult:
-    group = build_freeze_all_group(dep, sender, value)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, sender, ROW_FREEZE)
-    return result
+    return _submit(ledger, dep, _FREEZE_ALL, build_freeze_all_group(dep, sender, value))
 
 
 def submit_freeze_account(ledger: Ledger, dep: BondDeployment, sender: Address, target: Address, value: int) -> SubmitResult:
-    group = build_freeze_account_group(dep, sender, target, value)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, sender, ROW_FREEZE)
-    return result
+    return _submit(ledger, dep, _FREEZE, build_freeze_account_group(dep, sender, target, value))
 
 
 def submit_buy(ledger: Ledger, dep: BondDeployment, investor: Address, amount: int) -> SubmitResult:
-    group = build_buy_group(dep, investor, amount)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, investor, ROW_BUY)
-    return result
+    return _submit(ledger, dep, _BUY, build_buy_group(dep, investor, amount))
 
 
 def submit_set_trade(ledger: Ledger, dep: BondDeployment, seller: Address, amount: int) -> SubmitResult:
-    group = build_set_trade_group(dep, seller, amount)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, seller, ROW_TRADE_SELL)
-    return result
+    return _submit(ledger, dep, _SET_TRADE, build_set_trade_group(dep, seller, amount))
 
 
 def submit_trade(ledger: Ledger, dep: BondDeployment, offer: TradeOffer, buyer: Address, amount: int) -> SubmitResult:
-    group = build_trade_group(dep, offer, buyer, amount)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, offer.seller, ROW_TRADE_SELL)
-        _record_action(ledger, dep, group, buyer, ROW_TRADE_BUY)
-    return result
+    return _submit(ledger, dep, _TRADE, build_trade_group(dep, offer, buyer, amount))
 
 
 def submit_fund_escrow(ledger: Ledger, dep: BondDeployment, funder: Address, amount: int) -> SubmitResult:
-    group = build_fund_escrow_group(dep, funder, amount)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, funder, ROW_FUND_ESCROW_STABLECOIN)
-    return result
+    return _submit(ledger, dep, _FUND_ESCROW, build_fund_escrow_group(dep, funder, amount))
 
 
 def submit_coupon(ledger: Ledger, dep: BondDeployment, investor: Address) -> SubmitResult:
-    group = build_coupon_group(ledger, dep, investor)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, investor, ROW_CLAIM_COUPON)
-    return result
+    return _submit(ledger, dep, _COUPON, build_coupon_group(ledger, dep, investor))
 
 
 def submit_principal(ledger: Ledger, dep: BondDeployment, investor: Address) -> SubmitResult:
-    group = build_principal_group(ledger, dep, investor)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, investor, ROW_CLAIM_PRINCIPAL)
-    return result
+    return _submit(ledger, dep, _PRINCIPAL, build_principal_group(ledger, dep, investor))
 
 
 def submit_default(ledger: Ledger, dep: BondDeployment, investor: Address) -> SubmitResult:
-    group = build_default_group(ledger, dep, investor)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, investor, ROW_CLAIM_DEFAULT)
-    return result
+    return _submit(ledger, dep, _DEFAULT, build_default_group(ledger, dep, investor))
 
 
 def submit_rate(ledger: Ledger, dep: BondDeployment, verifier: Address, rating: int) -> SubmitResult:
-    group = build_rate_group(dep, verifier, rating)
-    result = ledger.submit_group(group)
-    if result.approved:
-        _record_action(ledger, dep, group, verifier, ROW_RATE)
-    return result
+    return _submit(ledger, dep, _RATE, build_rate_group(dep, verifier, rating))
 
 
 def submit_report_anchor(ledger: Ledger, dep: BondDeployment, sender: Address, cid: str) -> SubmitResult:

@@ -512,12 +512,6 @@ class Ledger:
         self._state.apps[app_id] = AppState()
         return app_id
 
-    def app_program(self, app_id: int) -> StatefulProgram:
-        return self._code(app_id).program
-
-    def app_creator(self, app_id: int) -> Address:
-        return self._code(app_id).creator
-
     def app_finalized(self, app_id: int) -> bool:
         return self._app_state(app_id).finalized
 
@@ -535,12 +529,6 @@ class Ledger:
 
     def is_opted_in(self, addr: Address, app_id: int) -> bool:
         return app_id in self._account(addr).local
-
-    def _code(self, app_id: int) -> _AppCode:
-        code = self._app_code.get(app_id)
-        if code is None:
-            raise LedgerError(f"unknown app {app_id}")
-        return code
 
     def _app_state(self, app_id: int) -> AppState:
         st = self._state.apps.get(app_id)

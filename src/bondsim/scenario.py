@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal, DecimalException
+from decimal import Context, Decimal, DecimalException, DivisionByZero, Inexact, InvalidOperation, Overflow
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import greenbond as gb
@@ -49,6 +49,8 @@ _RESERVED_NAMES = {"faucet", "all", "rejected"}
 # before `int()` builds it; `int()` puts the same limit on the digit strings
 # it reads.
 _MAX_DIGITS = 4300
+# Multiplying in this context is exact or raises (Inexact past 4,300 digits).
+_EXACT = Context(prec=_MAX_DIGITS, traps=[DivisionByZero, Inexact, InvalidOperation, Overflow])
 
 _GLOBAL_KEYS = {
     "coupons-paid": gb.KEY_COUPONS_PAID,
@@ -119,41 +121,38 @@ class RunOutcome:
 # value parsing
 
 
-def parse_money(token: str, lineno: int = 0) -> int:
-    """Stablecoin amounts: `$12.34` means dollars (max 6dp), bare integers
-    are base units."""
+def _scaled(number: str, lineno: int, token: str, what: str) -> int:
+    """`number` times UNIT, exactly: a value with more than 6 decimal places
+    or more than 4,300 digits is refused, never rounded."""
     try:
-        if not token.startswith("$"):
-            return int(token)
-        dollars = token[1:]
-        # Whole ASCII-digit dollars skip Decimal.  Up to 22 digits times UNIT
-        # fit Decimal's default 28-digit precision, so both ways agree.
-        if dollars.isascii() and dollars.isdigit() and len(dollars) <= 22:
-            return int(dollars) * UNIT
-        scaled = Decimal(dollars) * UNIT
+        scaled = _EXACT.multiply(Decimal(number), UNIT)
         if scaled != scaled.to_integral_value():
             raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
         if scaled and scaled.adjusted() >= _MAX_DIGITS:
-            raise ScenarioError(lineno, f"bad amount: {token}")
+            raise ScenarioError(lineno, f"bad {what}: {token}")
         return int(scaled)
     except (DecimalException, ValueError, OverflowError):  # bad syntax, huge exponent, Infinity
-        raise ScenarioError(lineno, f"bad amount: {token}") from None
+        raise ScenarioError(lineno, f"bad {what}: {token}") from None
+
+
+def parse_money(token: str, lineno: int = 0) -> int:
+    """Stablecoin amounts: `$12.34` means dollars (max 6dp), bare integers
+    are base units."""
+    if not token.startswith("$"):
+        try:
+            return int(token)
+        except ValueError:
+            raise ScenarioError(lineno, f"bad amount: {token}") from None
+    dollars = token[1:]
+    # whole ASCII-digit dollars skip Decimal; both ways give the same value
+    if dollars.isascii() and dollars.isdigit() and len(dollars) <= 22:
+        return int(dollars) * UNIT
+    return _scaled(dollars, lineno, token, "amount")
 
 
 def parse_bonds(token: str, lineno: int = 0) -> int:
     """Bond quantities are decimal whole bonds (max 6dp), scaled to base units."""
-    try:
-        scaled = Decimal(token) * UNIT
-    except DecimalException:  # bad syntax, exponent overflow
-        raise ScenarioError(lineno, f"bad bond quantity: {token}") from None
-    if scaled != scaled.to_integral_value():
-        raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
-    if scaled and scaled.adjusted() >= _MAX_DIGITS:
-        raise ScenarioError(lineno, f"bad bond quantity: {token}")
-    try:
-        return int(scaled)
-    except OverflowError:  # Infinity
-        raise ScenarioError(lineno, f"bad bond quantity: {token}") from None
+    return _scaled(token, lineno, token, "bond quantity")
 
 
 def parse_int(token: str, lineno: int = 0) -> int:
@@ -408,12 +407,16 @@ def _bind_quantity(scope, lineno, args):  # BOND ACCOUNT QUANTITY
     return (*_bind_holder(scope, lineno, args), parse_bonds(args[2], lineno))
 
 
-def _buy(runner, bond, investor, amount):
-    return gb.submit_buy(runner.ledger, runner._bond(bond), runner.accounts[investor], amount)
+def _submits(action: str):
+    """The executor of a step BOND ACCOUNT [VALUE]: the account submits
+    `gb.submit_<action>`, looked up per call (a wrapper may stand in)."""
 
+    submit = f"submit_{action}"
 
-def _set_trade(runner, bond, seller, amount):
-    return gb.submit_set_trade(runner.ledger, runner._bond(bond), runner.accounts[seller], amount)
+    def execute(runner, bond, name, *value):
+        return getattr(gb, submit)(runner.ledger, runner._bond(bond), runner.accounts[name], *value)
+
+    return execute
 
 
 _OFFER_KEYS = frozenset(("seller", "price", "expiry"))
@@ -455,28 +458,8 @@ def _bind_fund_escrow(scope, lineno, args):
     return (*_bind_holder(scope, lineno, args), parse_money(args[2], lineno))
 
 
-def _fund_escrow(runner, bond, funder, amount):
-    return gb.submit_fund_escrow(runner.ledger, runner._bond(bond), runner.accounts[funder], amount)
-
-
 def _bind_rate(scope, lineno, args):
     return (*_bind_holder(scope, lineno, args), parse_int(args[2], lineno))
-
-
-def _rate(runner, bond, verifier, rating):
-    return gb.submit_rate(runner.ledger, runner._bond(bond), runner.accounts[verifier], rating)
-
-
-def _claim_coupon(runner, bond, investor):
-    return gb.submit_coupon(runner.ledger, runner._bond(bond), runner.accounts[investor])
-
-
-def _claim_principal(runner, bond, investor):
-    return gb.submit_principal(runner.ledger, runner._bond(bond), runner.accounts[investor])
-
-
-def _claim_default(runner, bond, investor):
-    return gb.submit_default(runner.ledger, runner._bond(bond), runner.accounts[investor])
 
 
 def _bind_report_put(scope, lineno, args):
@@ -613,15 +596,15 @@ _VERBS = {
     "approve-bond": _Verb(1, _bind_approve_bond, _freeze),
     "approve-account": _Verb(2, _bind_approve_account, _approve_account),
     "freeze": _Verb(3, _bind_freeze, _freeze),
-    "buy": _Verb(3, _bind_quantity, _buy),
-    "set-trade": _Verb(3, _bind_quantity, _set_trade),
+    "buy": _Verb(3, _bind_quantity, _submits("buy")),
+    "set-trade": _Verb(3, _bind_quantity, _submits("set_trade")),
     "offer": _Verb(2, _bind_offer, _offer),
     "trade": _Verb(4, _bind_trade, _trade),
-    "fund-escrow": _Verb(3, _bind_fund_escrow, _fund_escrow),
-    "rate": _Verb(3, _bind_rate, _rate),
-    "claim-coupon": _Verb(2, _bind_holder, _claim_coupon),
-    "claim-principal": _Verb(2, _bind_holder, _claim_principal),
-    "claim-default": _Verb(2, _bind_holder, _claim_default),
+    "fund-escrow": _Verb(3, _bind_fund_escrow, _submits("fund_escrow")),
+    "rate": _Verb(3, _bind_rate, _submits("rate")),
+    "claim-coupon": _Verb(2, _bind_holder, _submits("coupon")),
+    "claim-principal": _Verb(2, _bind_holder, _submits("principal")),
+    "claim-default": _Verb(2, _bind_holder, _submits("default")),
     "report-put": _Verb(2, _bind_report_put, _report_put),
     "report-anchor": _Verb(3, _bind_report_anchor, _report_anchor),
     "advance-time": _Verb(1, _bind_advance_time, _advance_time),

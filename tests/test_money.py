@@ -1,5 +1,7 @@
-"""`parse_money`'s whole-dollar branch against a Decimal-only reference."""
-from decimal import Decimal, DecimalException
+"""`parse_money`'s whole-dollar branch against a Decimal-only reference, and
+long amounts and quantities: exact or refused, never rounded."""
+from decimal import Context, Decimal, DecimalException, DivisionByZero, Inexact, InvalidOperation, Overflow
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,8 @@ def reference_parse_money(token: str, lineno: int = 0) -> int:
     through Decimal."""
     try:
         if token.startswith("$"):
-            scaled = Decimal(token[1:]) * UNIT
+            exact = Context(prec=4300, traps=[DivisionByZero, Inexact, InvalidOperation, Overflow])
+            scaled = exact.multiply(Decimal(token[1:]), UNIT)
             if scaled != scaled.to_integral_value():
                 raise ScenarioError(lineno, f"more than 6 decimal places: {token}")
             if scaled and scaled.adjusted() >= 4300:  # more than 4,300 digits
@@ -55,7 +58,9 @@ tokens = st.one_of(
 @example("$²")
 @example("$" + "9" * 22)
 @example("$" + "9" * 23)
+@example("$" + "1" * 30)
 @example("$" + "1" * 40)
+@example("$1." + "0" * 40 + "1")
 @example("$Infinity")
 @example("$NaN")
 @example("$sNaN")
@@ -89,3 +94,18 @@ def test_bond_quantities_of_more_than_4300_digits_are_refused(exponent):
     else:
         assert outcome(parse_bonds, token) == ("error", f"line 7: bad bond quantity: {token}")
     assert parse_bonds(f"0e{exponent}") == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**60), st.text(alphabet="0123456789", max_size=50))
+@example(int("1" * 30), "")
+@example(1, "0" * 40 + "1")
+@example(1, "5" + "0" * 40)
+def test_long_values_are_exact_or_refused(whole, fraction):
+    token = f"{whole}.{fraction}" if fraction else str(whole)
+    exact = Fraction(token) * UNIT
+    for parse, text in ((parse_bonds, token), (parse_money, "$" + token)):
+        if exact.denominator == 1:
+            assert parse(text) == exact
+        else:
+            assert outcome(parse, text) == ("error", f"line 7: more than 6 decimal places: {text}")
