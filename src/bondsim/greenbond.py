@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .ledger import (
@@ -176,6 +177,16 @@ class BondDeployment:
     bond_escrow_lsig: LogicSig
     stablecoin_escrow_lsig: LogicSig
 
+    # the accounts and apps a protocol call names so that its handler may read
+    # them, (accounts, apps): built once, shared by every group of the deployment
+    @cached_property
+    def _calls_manage(self) -> tuple:
+        return (self.bond_escrow,), (self.manage_app_id,)
+
+    @cached_property
+    def _calls_main(self) -> tuple:
+        return (self.stablecoin_escrow, self.bond_escrow), (self.main_app_id,)
+
 
 @dataclass(frozen=True)
 class TradeOffer:
@@ -299,9 +310,11 @@ _SOURCES = {
     "principal": ("dep.params.principal", *["params.principal"] * 2),
     "bond_lsig": ("dep.bond_escrow_lsig",),
     "stablecoin_lsig": ("dep.stablecoin_escrow_lsig",),
+    "calls_manage": ("dep._calls_manage",),
+    "calls_main": ("dep._calls_main",),
 }
 _OPERAND = re.compile(r"\$(\w+)")
-_NAMESPACE = {kind.__name__: kind for kind in (AppCall, AssetTransfer, Payment, TransactionGroup)}
+_NAMESPACE = {kind.__name__: kind for kind in (AppCall, AssetTransfer, OnComplete, Payment, TransactionGroup)}
 
 
 def _compile(owner, name: str, arguments: str, side: str, render: Callable) -> None:
@@ -393,7 +406,10 @@ class _Check:
 
 
 def _main_call(action: bytes, *values: str, build: Optional[dict] = None) -> _Leg:
-    return _Leg(AppCall, build, sender="$actor", app_id="$main_app", args=_action(action, *values))
+    """A call of the main app that stays in it: the manage app and a trade
+    offer rely on the main app's checks, which an opt-in or close-out skips."""
+    args = _action(action, *values)
+    return _Leg(AppCall, build, sender="$actor", app_id="$main_app", on_complete="OnComplete.NO_OP", args=args)
 
 
 def _refund(escrow: str, leg: int, build: Optional[dict] = None) -> _Leg:
@@ -408,9 +424,8 @@ def _stablecoin_move(build: Optional[dict] = None, **pins) -> _Leg:
     return _Leg(AssetTransfer, build, asset_id="$stablecoin", revoke_target=None, **pins)
 
 
-# the accounts and apps a protocol call names, so that its handler may read them
-_CALLS_MANAGE = {"accounts": "($bond_escrow,)", "apps": "($manage_app,)"}
-_CALLS_MAIN = {"accounts": "($stablecoin_escrow, $bond_escrow)", "apps": "($main_app,)"}
+_CALLS_MANAGE = {"accounts": "$calls_manage[0]", "apps": "$calls_manage[1]"}
+_CALLS_MAIN = {"accounts": "$calls_main[0]", "apps": "$calls_main[1]"}
 _BY_BOND_ESCROW = {"signature": "$bond_lsig"}
 _BY_STABLECOIN_ESCROW = {"signature": "$stablecoin_lsig"}
 

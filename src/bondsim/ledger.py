@@ -9,6 +9,11 @@ objects back.  A group's cost therefore grows with the objects it touches,
 not with the size of the ledger.  Stateless and stateful approval programs
 from the `programs` module are evaluated during group submission.
 
+A committed group leaves its transactions and commit times in two lists,
+not an object per transaction for the cyclic garbage collector to count:
+`applied_log` makes the `LogEntry` records on read, and only a transaction
+with a note gets its record at commit, for `noted_by`.
+
 All money arithmetic is integer arithmetic.  There is no randomness and no
 wall-clock access anywhere, so identical operation sequences produce
 identical ledgers.
@@ -176,11 +181,13 @@ class Account:
     local: dict = field(default_factory=dict)  # app_id -> {key: value}
     min_extra: int = 0  # schedule entries above the base minimum
 
+    # `.copy()`, not `dict(...)`: the constructor bypasses the free list that a
+    # freed dict returns to, so the collector would count each copy as live
     def clone(self) -> "Account":
         return Account(
             self.balance,
-            dict(self.holdings),
-            {app: dict(kv) for app, kv in self.local.items()},
+            self.holdings.copy(),
+            {app: kv.copy() for app, kv in self.local.items()},
             self.min_extra,
         )
 
@@ -192,7 +199,7 @@ class AppState:
     finalized: bool = False
 
     def clone(self) -> "AppState":
-        return AppState(dict(self.global_state), dict(self.config), self.finalized)
+        return AppState(self.global_state.copy(), self.config.copy(), self.finalized)
 
 
 @dataclass(frozen=True)
@@ -387,7 +394,9 @@ class Ledger:
         self._next_asset = 100
         self._next_app = 1000
         self._minted = 0
-        self._log: list = []
+        self._txns: list = []  # committed transactions, in ledger order
+        self._times: list = []  # the clock when each of them committed
+        self._log: list = []  # LogEntry records of the first len(_log) of them, made on read
         self._noted: dict = {}  # sender -> its committed entries that carry a note, in ledger order
         self.cost = CostLedger(self._state)
 
@@ -568,18 +577,31 @@ class Ledger:
         return SubmitResult(True)
 
     def _record(self, group: TransactionGroup) -> None:
+        seq, now, times = len(self._txns), self._now, self._times
+        self._txns += group.txns
         for txn in group.txns:
-            entry = LogEntry(len(self._log), self._now, txn)
-            self._log.append(entry)
+            times.append(now)
             if txn.note:
-                self._noted.setdefault(txn.sender, []).append(entry)
+                self._noted.setdefault(txn.sender, []).append(LogEntry(seq, now, txn))
+            seq += 1
 
     @property
     def applied_log(self) -> list:
-        return self._log
+        """Every committed transaction as a `LogEntry`, in ledger order.  The
+        same list every time, grown on each read by the entries committed
+        since the previous one: read it again after submitting."""
+        log, txns, times = self._log, self._txns, self._times
+        start, stop = len(log), len(txns)
+        if start < stop:
+            # a slice of equal entries, not an append, so that readers racing
+            # between two writes cannot add an entry twice
+            log[start:stop] = [LogEntry(seq, times[seq], txns[seq]) for seq in range(start, stop)]
+        return log
 
     def noted_by(self, sender: Address) -> list:
-        """Committed entries sent by `sender` that carry a note, in ledger order."""
+        """Committed entries sent by `sender` that carry a note, in ledger
+        order.  Each commit grows the list kept for the sender (a sender with
+        none yet gets a fresh empty one): read it again after submitting."""
         return self._noted.get(sender, [])
 
     # -- transaction application (internal) ----------------------------------------
@@ -826,5 +848,5 @@ class Ledger:
                 for app_id, s in sorted(self._state.apps.items())
             },
             "fees": tuple(sorted(self._state.fees_paid.items())),
-            "log_len": len(self._log),
+            "log_len": len(self._txns),
         }

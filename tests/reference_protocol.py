@@ -7,7 +7,10 @@ test (`tests/test_group_shapes.py`) deploys one bond whose programs come
 from this module and one whose programs come from `bondsim.greenbond`, and
 requires the two to accept and deny the same groups with the same codes.
 The code below is kept as it was, not tidied: it is the behaviour being
-preserved.
+preserved.  One pin was added later, here and in `bondsim.greenbond`
+alike: the manage app's checks and the trade-offer predicate require the
+main-app head to be a NoOp call, since the main app approves an opt-in or
+a close-out without looking at the group.
 """
 from __future__ import annotations
 
@@ -446,6 +449,7 @@ def _manage_not_defaulted(ctx: CallContext, params: BondParams) -> None:
         isinstance(head, AppCall)
         and head.app_id == main_app
         and head.sender == ctx.sender
+        and head.on_complete is OnComplete.NO_OP
         and head.args[:1] in ((ACT_COUPON,), (ACT_SELL,)),
         "bad_group",
     )
@@ -474,6 +478,7 @@ def _manage_claim_default(ctx: CallContext, params: BondParams) -> None:
         isinstance(head, AppCall)
         and head.app_id == main_app
         and head.sender == ctx.sender
+        and head.on_complete is OnComplete.NO_OP
         and head.args[:1] == (ACT_DEFAULT,),
         "bad_group",
     )
@@ -559,6 +564,7 @@ def make_trade_offer(dep: BondDeployment, seller: Address, price_per_bond: int, 
             isinstance(t0, AppCall)
             and t0.app_id == main_app_id
             and t0.sender == seller
+            and t0.on_complete is OnComplete.NO_OP
             and t0.args[:1] == (ACT_TRADE,)
             and isinstance(t1, Payment)
             and t1.sender == seller
