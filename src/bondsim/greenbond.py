@@ -1090,10 +1090,11 @@ def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: Transacti
         escrows = (dep.bond_escrow, dep.stablecoin_escrow)
         for leg, label in shape.labels.items():
             payer = group.txns[leg].sender
-            fee = sum(t.fee for t in group.txns if t.sender == payer)
-            refunds = sum(
-                t.amount for t in group.txns if isinstance(t, Payment) and t.sender == payer and t.receiver in escrows
-            )
+            fee = refunds = 0
+            for t in group.txns:
+                if t.sender == payer:
+                    fee += t.fee
+                    refunds += t.amount if isinstance(t, Payment) and t.receiver in escrows else 0
             ledger.cost.record(payer, label, amount=refunds, fee=fee, tag=dep.main_app_id)
     return result
 

@@ -7,7 +7,9 @@ writes the live state in place, saving each account, app state and fee
 total before its first write to it, and a rejected group puts the saved
 objects back.  A group's cost therefore grows with the objects it touches,
 not with the size of the ledger.  Stateless and stateful approval programs
-from the `programs` module are evaluated during group submission.
+from the `programs` module are evaluated during group submission; a
+stateful handler writes through the same record, so its group's later legs
+read its writes and a rejection undoes them with the rest.
 
 A committed group leaves its transactions and commit times in two lists,
 not an object per transaction for the cyclic garbage collector to count:
@@ -20,7 +22,7 @@ identical ledgers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 from .programs import (
@@ -62,7 +64,24 @@ class InsufficientBalance(LedgerError):
 # transactions
 
 
-@dataclass(frozen=True)
+def _slot_init(cls: type) -> type:
+    """Give a frozen slotted dataclass, whose fields have no default factory,
+    an `__init__` that stores each field through its slot: about half the
+    time of the generated one, which calls `object.__setattr__` per field."""
+    params, lines, namespace = [], [], {}
+    for f in fields(cls):
+        params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
+        namespace[f"_default_{f.name}"] = f.default
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        lines.append(f"_set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class Payment:
     sender: Address
     receiver: Address
@@ -74,7 +93,8 @@ class Payment:
     valid_until: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class AssetTransfer:
     sender: Address
     asset_id: int
@@ -88,7 +108,8 @@ class AssetTransfer:
     valid_until: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class AppCall:
     sender: Address
     app_id: int
@@ -106,7 +127,8 @@ class AppCall:
 Transaction = Union[Payment, AssetTransfer, AppCall]
 
 
-@dataclass(frozen=True)
+@_slot_init
+@dataclass(frozen=True, slots=True)
 class TransactionGroup:
     txns: tuple
 
@@ -131,7 +153,7 @@ class Rejection:
         return f"{self.code}:{sub}" if sub else self.code
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubmitResult:
     approved: bool
     rejection: Optional[Rejection] = None
@@ -142,6 +164,9 @@ class SubmitResult:
 
     def reason(self) -> str:
         return "" if self.approved else str(self.rejection)
+
+
+APPROVED = SubmitResult(True)  # every approved group's result
 
 
 class _Reject(Exception):
@@ -207,6 +232,8 @@ class _AppCode:
     app_id: int
     program: StatefulProgram
     creator: Address
+    global_cap: int  # most global keys the app may hold
+    local_cap: int  # most local keys it may hold per account
 
 
 class _LedgerState:
@@ -220,10 +247,12 @@ class _LedgerState:
 
 class _Undo:
     """Rollback record of one group.  Every write of the group goes through
-    `account`, `app` or `add_fee`, which save the object as it was before the
+    `account`, `app` or `charge`, which save the object as it was before the
     group's first write to it; `rollback` puts the saved objects back.  The
     saved accounts are exactly the accounts the group wrote, whose minimum
-    balances the group must leave intact."""
+    balances the group must leave intact.  A clear-state call writes through
+    a record of its own, which it rolls back or hands to the group's with
+    `adopt`."""
 
     __slots__ = ("state", "accounts", "apps", "fees")
 
@@ -245,11 +274,20 @@ class _Undo:
             self.apps[app_id] = app.clone()
         return app
 
-    def add_fee(self, addr: Address, fee: int) -> None:
+    def charge(self, addr: Address, fee: int) -> None:
+        """Take a transaction fee from `addr` and add it to its fee total."""
+        self.account(addr).balance -= fee
         fees = self.state.fees_paid
         old = fees.get(addr)
-        self.fees.setdefault(addr, old)
+        if addr not in self.fees:
+            self.fees[addr] = old
         fees[addr] = (old or 0) + fee
+
+    def adopt(self, inner: "_Undo") -> None:
+        """Take over what `inner` saved and this record has not."""
+        for mine, theirs in ((self.accounts, inner.accounts), (self.apps, inner.apps), (self.fees, inner.fees)):
+            for key, old in theirs.items():
+                mine.setdefault(key, old)
 
     def rollback(self) -> None:
         st = self.state
@@ -262,7 +300,7 @@ class _Undo:
                 st.fees_paid[addr] = old
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     seq: int
     timestamp: int
@@ -296,7 +334,7 @@ class MinBalanceSchedule:
         return self.app_base + self.app_per_uint * s.local_uints + self.app_per_byte_slice * s.local_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class CostRow:
     actor: Address
     label: str
@@ -339,41 +377,6 @@ class CostLedger:
         if acc is None:
             raise UnknownAddress(addr)
         return acc.min_extra
-
-
-# ---------------------------------------------------------------------------
-# read port handed to stateful handlers
-
-
-class _StatePort:
-    def __init__(self, state: _LedgerState):
-        self._state = state
-
-    def global_get(self, app_id: int, key: bytes):
-        app = self._state.apps.get(app_id)
-        return None if app is None else app.global_state.get(key)
-
-    def config_get(self, app_id: int, key: str):
-        app = self._state.apps.get(app_id)
-        return None if app is None else app.config.get(key)
-
-    def app_finalized(self, app_id: int) -> bool:
-        app = self._state.apps.get(app_id)
-        return bool(app and app.finalized)
-
-    def local_exists(self, app_id: int, addr: str) -> bool:
-        acc = self._state.accounts.get(addr)
-        return bool(acc and app_id in acc.local)
-
-    def local_get(self, app_id: int, addr: str, key: bytes):
-        acc = self._state.accounts.get(addr)
-        if acc is None or app_id not in acc.local:
-            return None
-        return acc.local[app_id].get(key)
-
-    def asset_balance(self, addr: str, asset_id: int) -> int:
-        acc = self._state.accounts.get(addr)
-        return 0 if acc is None else acc.holdings.get(asset_id, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +520,8 @@ class Ledger:
         acc.min_extra = new_extra
         app_id = self._next_app
         self._next_app += 1
-        self._app_code[app_id] = _AppCode(app_id, program, creator)
+        caps = min(program.schema.global_keys, MAX_GLOBAL_KEYS), min(program.schema.local_keys, MAX_LOCAL_KEYS)
+        self._app_code[app_id] = _AppCode(app_id, program, creator, *caps)
         self._state.apps[app_id] = AppState()
         return app_id
 
@@ -574,13 +578,13 @@ class Ledger:
             undo.rollback()
             raise
         self._record(group)
-        return SubmitResult(True)
+        return APPROVED
 
     def _record(self, group: TransactionGroup) -> None:
-        seq, now, times = len(self._txns), self._now, self._times
-        self._txns += group.txns
-        for txn in group.txns:
-            times.append(now)
+        txns, seq, now = group.txns, len(self._txns), self._now
+        self._txns += txns
+        self._times += [now] * len(txns)
+        for txn in txns:
             if txn.note:
                 self._noted.setdefault(txn.sender, []).append(LogEntry(seq, now, txn))
             seq += 1
@@ -622,8 +626,7 @@ class Ledger:
             raise _Reject("fee_too_low", txn_index=idx)
         if acc.balance < txn.fee:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
-        undo.account(txn.sender).balance -= txn.fee
-        undo.add_fee(txn.sender, txn.fee)
+        undo.charge(txn.sender, txn.fee)
 
         if isinstance(txn, Payment):
             self._apply_payment(undo, txn, idx)
@@ -723,44 +726,22 @@ class Ledger:
             acc.local[txn.app_id] = {}
             acc.min_extra += self.schedule.app_opt_in_entry(program)
 
-        ctx = CallContext(
-            app_id=txn.app_id,
-            creator=code.creator,
-            sender=txn.sender,
-            on_complete=oc,
-            args=txn.args,
-            accounts=txn.accounts,
-            apps=txn.apps,
-            group=group,
-            txn_index=idx,
-            now=self._now,
-            port=_StatePort(st),
-        )
-        handler = program.clear_state if oc is OnComplete.CLEAR_STATE else program.approval
+        if oc is OnComplete.CLEAR_STATE:
+            self._clear_state(undo, code, group, idx)
+            return
+        ctx = CallContext(txn, code, group, idx, self._now, undo)
         # keep the denial's fields, not the exception: its traceback (or its
         # context's) leads back to this frame, a cycle that would keep the
         # ledger alive until the cyclic collector runs
         denial: Optional[dict] = None
-        if handler is not None:
+        if program.approval is not None:
             try:
-                handler(ctx)
+                program.approval(ctx)
             except Deny as d:
                 denial = {"code": d.code, **d.detail}
-
-        if oc is OnComplete.CLEAR_STATE:
-            # clearing always removes local state, approved or not
-            if txn.app_id not in st.accounts[txn.sender].local:
-                raise _Reject("not_opted_in", txn_index=idx)
-            if denial is None:
-                self._commit_app_writes(undo, code, ctx)
-            acc = undo.account(txn.sender)
-            del acc.local[txn.app_id]
-            acc.min_extra -= self.schedule.app_opt_in_entry(program)
-            return
-
         if denial is not None:
             raise _Reject("app_rejected", {"txn_index": idx, "app": txn.app_id, **denial})
-        self._commit_app_writes(undo, code, ctx)
+        self._raise_bad_write(ctx)
 
         if oc is OnComplete.CLOSE_OUT:
             if txn.app_id not in st.accounts[txn.sender].local:
@@ -773,30 +754,39 @@ class Ledger:
             del st.apps[txn.app_id]
             undo.account(code.creator).min_extra -= self.schedule.app_create_entry(program)
 
-    def _commit_app_writes(self, undo: _Undo, code: _AppCode, ctx: CallContext) -> None:
-        if ctx.config_writes or ctx.finalize_requested or ctx.global_writes:
-            app_state = undo.app(code.app_id)
-            if ctx.config_writes:
-                app_state.config.update(ctx.config_writes)
-            if ctx.finalize_requested:
-                app_state.finalized = True
-            if ctx.global_writes:
-                app_state.global_state.update(ctx.global_writes)
-                cap = min(code.program.schema.global_keys, MAX_GLOBAL_KEYS)
-                if len(app_state.global_state) > cap:
-                    raise _Reject("app_rejected", {"app": code.app_id, "code": "global_schema_exceeded"})
-        accounts = undo.state.accounts
-        for (addr, key), value in ctx.local_writes.items():
-            target = accounts.get(addr)
-            if target is None:
-                raise _Reject("unknown_address", address=addr)
-            if code.app_id not in target.local:
-                raise _Reject("app_rejected", {"app": code.app_id, "code": "not_opted_in", "account": addr})
-            local = undo.account(addr).local[code.app_id]
-            local[key] = value
-            cap = min(code.program.schema.local_keys, MAX_LOCAL_KEYS)
-            if len(local) > cap:
-                raise _Reject("app_rejected", {"app": code.app_id, "code": "local_schema_exceeded"})
+    def _clear_state(self, undo: _Undo, code: _AppCode, group: TransactionGroup, idx: int) -> None:
+        """A clear-state call removes the local state, approved or not; only an
+        approved handler's writes stay, so it writes through a record of its own."""
+        txn = group.txns[idx]
+        inner = _Undo(undo.state)
+        ctx = CallContext(txn, code, group, idx, self._now, inner)
+        denied = False
+        if code.program.clear_state is not None:
+            try:
+                code.program.clear_state(ctx)
+            except Deny:
+                denied = True
+            finally:
+                if denied:
+                    inner.rollback()
+                else:
+                    undo.adopt(inner)
+        if txn.app_id not in undo.state.accounts[txn.sender].local:
+            raise _Reject("not_opted_in", txn_index=idx)
+        if not denied:
+            self._raise_bad_write(ctx)
+        acc = undo.account(txn.sender)
+        del acc.local[txn.app_id]
+        acc.min_extra -= self.schedule.app_opt_in_entry(code.program)
+
+    @staticmethod
+    def _raise_bad_write(ctx: CallContext) -> None:
+        """Reject a call whose handler made a write it may not make: a global
+        schema overflow first, then the first bad local write."""
+        if ctx.global_overflow:
+            raise _Reject("app_rejected", {"app": ctx.app_id, "code": "global_schema_exceeded"})
+        if ctx.bad_local is not None:
+            raise _Reject(*ctx.bad_local)
 
     def _check_min_balances(self, undo: _Undo) -> None:
         accounts = undo.state.accounts

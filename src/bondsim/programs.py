@@ -10,8 +10,9 @@ Two program kinds plug into the ledger:
 
 Stateless programs never see ledger state: their predicate receives only the
 group being evaluated, the index of the transaction they are signing, and the
-submission time.  Stateful handlers run against a buffered `CallContext`;
-their writes are discarded whenever the enclosing group is rejected.
+submission time.  Stateful handlers read and write the live ledger state
+through a `CallContext`, which saves what each write replaces in the
+enclosing group's rollback record: a rejected group puts it all back.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
-    from .ledger import TransactionGroup
+    from .ledger import AppCall, TransactionGroup, _AppCode, _Undo
 
 StateValue = Union[int, bytes]
 
@@ -136,44 +137,40 @@ class StatefulProgram:
 class CallContext:
     """Everything a stateful handler may see and touch for one call.
 
-    Reads go to the group's working ledger state through a port supplied by
-    the evaluator; writes are buffered here and committed only if the handler
-    approves and the whole group is approved.  Account and application
-    references are enforced: a handler can only read balances/local state of
-    its caller and the accounts listed on the transaction, and only read
-    global state of its own app and the apps listed on the transaction.
+    Reads and writes go to the live ledger state, each write through the
+    group's rollback record `undo`, so later legs see it and a rejection
+    undoes it.  A write the app may not make is noted, not raised: a global
+    schema overflow, and the first bad local write (a local overflow, or an
+    account unknown or not opted in, which is left unwritten).  The ledger
+    rejects the call for them once the handler returns, after any denial.
+    Account and application references are enforced: a handler can only read
+    balances/local state of its caller and the accounts listed on the
+    transaction, and only read global state of its own app and the apps
+    listed on the transaction.
     """
 
+    __slots__ = ("app_id", "creator", "sender", "on_complete", "args", "accounts", "apps", "group", "txn_index",
+                 "now", "global_overflow", "bad_local", "_code", "_undo", "_accounts", "_app")
+
     def __init__(
-        self,
-        *,
-        app_id: int,
-        creator: str,
-        sender: str,
-        on_complete: OnComplete,
-        args: tuple,
-        accounts: tuple,
-        apps: tuple,
-        group: "TransactionGroup",
-        txn_index: int,
-        now: int,
-        port,
+        self, txn: "AppCall", code: "_AppCode", group: "TransactionGroup", txn_index: int, now: int, undo: "_Undo"
     ):
-        self.app_id = app_id
-        self.creator = creator
-        self.sender = sender
-        self.on_complete = on_complete
-        self.args = tuple(args)
-        self.accounts = tuple(accounts)
-        self.apps = tuple(apps)
+        self.app_id = txn.app_id
+        self.creator = code.creator
+        self.sender = txn.sender
+        self.on_complete = txn.on_complete
+        self.args = txn.args
+        self.accounts = txn.accounts
+        self.apps = txn.apps
         self.group = group
         self.txn_index = txn_index
         self.now = now
-        self._port = port
-        self.global_writes: dict = {}
-        self.local_writes: dict = {}  # (addr, key) -> value
-        self.config_writes: dict = {}
-        self.finalize_requested = False
+        self.global_overflow = False
+        self.bad_local: Optional[tuple] = None  # (rejection code, detail) of the first bad local write
+        self._code = code  # the app's code record: creator and schema caps
+        self._undo = undo
+        self._accounts = undo.state.accounts
+        self._app = undo.state.apps[txn.app_id]  # this app's live state
 
     # -- control flow -----------------------------------------------------
 
@@ -204,37 +201,38 @@ class CallContext:
         if addr != self.sender and addr not in self.accounts:
             self.deny("account_not_referenced", account=addr)
 
-    def _check_app_ref(self, app_id: int) -> None:
-        if app_id != self.app_id and app_id not in self.apps:
-            self.deny("app_not_referenced", app=app_id)
-
     # -- global state --------------------------------------------------------
 
     def global_value(self, key: bytes, app_id: Optional[int] = None):
-        app = self.app_id if app_id is None else app_id
-        self._check_app_ref(app)
-        if app == self.app_id and key in self.global_writes:
-            return self.global_writes[key]
-        return self._port.global_get(app, key)
+        if app_id is None or app_id == self.app_id:
+            return self._app.global_state.get(key)
+        if app_id not in self.apps:
+            self.deny("app_not_referenced", app=app_id)
+        app = self._undo.state.apps.get(app_id)
+        return None if app is None else app.global_state.get(key)
 
     def global_uint(self, key: bytes, app_id: Optional[int] = None) -> int:
         value = self.global_value(key, app_id)
         return value if isinstance(value, int) else 0
 
     def global_put(self, key: bytes, value: StateValue) -> None:
-        self.global_writes[key] = value
+        state = self._undo.app(self.app_id).global_state
+        state[key] = value
+        if len(state) > self._code.global_cap:
+            self.global_overflow = True
 
     # -- local state ---------------------------------------------------------
 
     def is_opted_in(self, addr: str) -> bool:
         self._check_account_ref(addr)
-        return self._port.local_exists(self.app_id, addr)
+        acc = self._accounts.get(addr)
+        return acc is not None and self.app_id in acc.local
 
     def local_value(self, addr: str, key: bytes):
         self._check_account_ref(addr)
-        if (addr, key) in self.local_writes:
-            return self.local_writes[(addr, key)]
-        return self._port.local_get(self.app_id, addr, key)
+        acc = self._accounts.get(addr)
+        local = None if acc is None else acc.local.get(self.app_id)
+        return None if local is None else local.get(key)
 
     def local_uint(self, addr: str, key: bytes) -> int:
         value = self.local_value(addr, key)
@@ -242,28 +240,36 @@ class CallContext:
 
     def local_put(self, addr: str, key: bytes, value: StateValue) -> None:
         self._check_account_ref(addr)
-        self.local_writes[(addr, key)] = value
+        acc = self._accounts.get(addr)
+        if acc is None or self.app_id not in acc.local:
+            if self.bad_local is None:
+                not_opted_in = ("app_rejected", {"app": self.app_id, "code": "not_opted_in", "account": addr})
+                self.bad_local = ("unknown_address", {"address": addr}) if acc is None else not_opted_in
+            return
+        local = self._undo.account(addr).local[self.app_id]
+        local[key] = value
+        if len(local) > self._code.local_cap and self.bad_local is None:
+            self.bad_local = ("app_rejected", {"app": self.app_id, "code": "local_schema_exceeded"})
 
     # -- app configuration (set at deployment, then frozen) -------------------
 
     def config(self, key: str, default=None):
-        if key in self.config_writes:
-            return self.config_writes[key]
-        value = self._port.config_get(self.app_id, key)
+        value = self._app.config.get(key)
         return default if value is None else value
 
     def config_put(self, key: str, value) -> None:
-        self.config_writes[key] = value
+        self._undo.app(self.app_id).config[key] = value
 
     @property
     def finalized(self) -> bool:
-        return self.finalize_requested or self._port.app_finalized(self.app_id)
+        return self._app.finalized
 
     def finalize(self) -> None:
-        self.finalize_requested = True
+        self._undo.app(self.app_id).finalized = True
 
     # -- balances --------------------------------------------------------------
 
     def asset_balance(self, addr: str, asset_id: int) -> int:
         self._check_account_ref(addr)
-        return self._port.asset_balance(addr, asset_id)
+        acc = self._accounts.get(addr)
+        return 0 if acc is None else acc.holdings.get(asset_id, 0)

@@ -3,11 +3,15 @@
 `CloneLedger` evaluates a group on a copy of every account and app state
 and adopts the copy only if the group is approved, so a rejected or raising
 group cannot leave a trace by construction.  It tracks the accounts whose
-minimum balance must be checked in an explicit `touched` set.  `Ledger`
-writes in place and rolls back instead; the two must agree after every
+minimum balance must be checked in an explicit `touched` set, and runs each
+handler against the buffered `CallContext` below, whose writes it commits
+only if the handler approves.  `Ledger` writes in place and rolls back
+instead, its handlers writing through; the two must agree after every
 group.
 """
 from __future__ import annotations
+
+from typing import NoReturn, Optional
 
 from bondsim.ledger import (
     BASE_MIN_BALANCE,
@@ -18,12 +22,179 @@ from bondsim.ledger import (
     Payment,
     Rejection,
     SubmitResult,
+    TransactionGroup,
     _LedgerState,
     _Reject,
-    _StatePort,
     as_group,
 )
-from bondsim.programs import MAX_GLOBAL_KEYS, MAX_LOCAL_KEYS, CallContext, Deny, OnComplete
+from bondsim.programs import MAX_GLOBAL_KEYS, MAX_LOCAL_KEYS, Deny, OnComplete, StateValue
+
+
+class _StatePort:
+    def __init__(self, state: _LedgerState):
+        self._state = state
+
+    def global_get(self, app_id: int, key: bytes):
+        app = self._state.apps.get(app_id)
+        return None if app is None else app.global_state.get(key)
+
+    def config_get(self, app_id: int, key: str):
+        app = self._state.apps.get(app_id)
+        return None if app is None else app.config.get(key)
+
+    def app_finalized(self, app_id: int) -> bool:
+        app = self._state.apps.get(app_id)
+        return bool(app and app.finalized)
+
+    def local_exists(self, app_id: int, addr: str) -> bool:
+        acc = self._state.accounts.get(addr)
+        return bool(acc and app_id in acc.local)
+
+    def local_get(self, app_id: int, addr: str, key: bytes):
+        acc = self._state.accounts.get(addr)
+        if acc is None or app_id not in acc.local:
+            return None
+        return acc.local[app_id].get(key)
+
+    def asset_balance(self, addr: str, asset_id: int) -> int:
+        acc = self._state.accounts.get(addr)
+        return 0 if acc is None else acc.holdings.get(asset_id, 0)
+
+
+class CallContext:
+    """Everything a stateful handler may see and touch for one call.
+
+    Reads go to the group's working ledger state through a port supplied by
+    the evaluator; writes are buffered here and committed only if the handler
+    approves and the whole group is approved.  Account and application
+    references are enforced: a handler can only read balances/local state of
+    its caller and the accounts listed on the transaction, and only read
+    global state of its own app and the apps listed on the transaction.
+    """
+
+    def __init__(
+        self,
+        *,
+        app_id: int,
+        creator: str,
+        sender: str,
+        on_complete: OnComplete,
+        args: tuple,
+        accounts: tuple,
+        apps: tuple,
+        group: TransactionGroup,
+        txn_index: int,
+        now: int,
+        port,
+    ):
+        self.app_id = app_id
+        self.creator = creator
+        self.sender = sender
+        self.on_complete = on_complete
+        self.args = tuple(args)
+        self.accounts = tuple(accounts)
+        self.apps = tuple(apps)
+        self.group = group
+        self.txn_index = txn_index
+        self.now = now
+        self._port = port
+        self.global_writes: dict = {}
+        self.local_writes: dict = {}  # (addr, key) -> value
+        self.config_writes: dict = {}
+        self.finalize_requested = False
+
+    # -- control flow -----------------------------------------------------
+
+    def deny(self, code: str, **detail) -> NoReturn:
+        raise Deny(code, detail)
+
+    def require(self, cond: bool, code: str, **detail) -> None:
+        if not cond:
+            self.deny(code, **detail)
+
+    # -- arguments ---------------------------------------------------------
+
+    def arg(self, index: int) -> bytes:
+        if index >= len(self.args):
+            self.deny("missing_arg", index=index)
+        return self.args[index]
+
+    def int_arg(self, index: int) -> int:
+        raw = self.arg(index)
+        try:
+            return int(raw.decode("ascii"))
+        except (UnicodeDecodeError, ValueError):
+            self.deny("bad_arg", index=index)
+
+    # -- reference checks --------------------------------------------------
+
+    def _check_account_ref(self, addr: str) -> None:
+        if addr != self.sender and addr not in self.accounts:
+            self.deny("account_not_referenced", account=addr)
+
+    def _check_app_ref(self, app_id: int) -> None:
+        if app_id != self.app_id and app_id not in self.apps:
+            self.deny("app_not_referenced", app=app_id)
+
+    # -- global state --------------------------------------------------------
+
+    def global_value(self, key: bytes, app_id: Optional[int] = None):
+        app = self.app_id if app_id is None else app_id
+        self._check_app_ref(app)
+        if app == self.app_id and key in self.global_writes:
+            return self.global_writes[key]
+        return self._port.global_get(app, key)
+
+    def global_uint(self, key: bytes, app_id: Optional[int] = None) -> int:
+        value = self.global_value(key, app_id)
+        return value if isinstance(value, int) else 0
+
+    def global_put(self, key: bytes, value: StateValue) -> None:
+        self.global_writes[key] = value
+
+    # -- local state ---------------------------------------------------------
+
+    def is_opted_in(self, addr: str) -> bool:
+        self._check_account_ref(addr)
+        return self._port.local_exists(self.app_id, addr)
+
+    def local_value(self, addr: str, key: bytes):
+        self._check_account_ref(addr)
+        if (addr, key) in self.local_writes:
+            return self.local_writes[(addr, key)]
+        return self._port.local_get(self.app_id, addr, key)
+
+    def local_uint(self, addr: str, key: bytes) -> int:
+        value = self.local_value(addr, key)
+        return value if isinstance(value, int) else 0
+
+    def local_put(self, addr: str, key: bytes, value: StateValue) -> None:
+        self._check_account_ref(addr)
+        self.local_writes[(addr, key)] = value
+
+    # -- app configuration (set at deployment, then frozen) -------------------
+
+    def config(self, key: str, default=None):
+        if key in self.config_writes:
+            return self.config_writes[key]
+        value = self._port.config_get(self.app_id, key)
+        return default if value is None else value
+
+    def config_put(self, key: str, value) -> None:
+        self.config_writes[key] = value
+
+    @property
+    def finalized(self) -> bool:
+        return self.finalize_requested or self._port.app_finalized(self.app_id)
+
+    def finalize(self) -> None:
+        self.finalize_requested = True
+
+    # -- balances --------------------------------------------------------------
+
+    def asset_balance(self, addr: str, asset_id: int) -> int:
+        self._check_account_ref(addr)
+        return self._port.asset_balance(addr, asset_id)
 
 
 def clone_state(state: _LedgerState) -> _LedgerState:

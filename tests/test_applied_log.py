@@ -10,7 +10,6 @@ per deployment, and at most five new objects for a coupon claim.
 """
 import gc
 import platform
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +181,5 @@ def test_a_coupon_claim_leaves_at_most_five_objects_for_the_collector():
         grown = gc.get_count()[0] - start
     finally:
         gc.enable()
-    # the claim's four transactions, kept in the log, and its cost row; before
-    # 3.11 each of these objects also has its own attribute dict
-    assert grown <= (5 if sys.version_info >= (3, 11) else 10)
+    # the claim's four transactions, kept in the log, and its cost row
+    assert grown <= 5

@@ -170,8 +170,12 @@ def deep_mutations(txns: tuple, public) -> list:
     * two amounts changed together, as a zero bond leg with a zero price
       leg: a bond amount must be positive;
     * a head that closes out of the main app, which approves a close-out
-      without looking at the group, then any single mutation: the pins the
-      manage app holds itself;
+      without looking at the group, then any single mutation: the later
+      legs' checks, most of them stopping at the `on_complete` pin that the
+      manage app and a trade offer hold on the head.  (With a NoOp head the
+      main app's check of the payout leg answers first, so no composition
+      here reaches the manage app's own payout `asset_id` pin, which stays
+      a second guard.)
     * a head that opts in to or closes out of an app, signed by its
       sender's own key or not, then one change to the head: the pins the
       manage app and a trade offer hold on the head;
