@@ -9,14 +9,12 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import hashlib
-import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import pricing
-from .reports import list_reports
+from .reports import CorruptContent, ReportStore, UnknownContent, is_content_id, list_reports
 from .scenario import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -28,7 +26,6 @@ from .scenario import (
 )
 
 DEFAULT_STORE = "report-store"
-_CONTENT_ID_RE = re.compile(r"[0-9a-f]{64}")  # SHA-256 hex digest; never a path
 
 
 def _replay(path: str):
@@ -113,12 +110,6 @@ def _cmd_price_curve(args) -> int:
     return EXIT_OK
 
 
-def _store_dir(args) -> Path:
-    path = Path(args.store)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cmd_report(args) -> int:
     if args.action in ("put", "get") and not args.target:
         print(f"error: report {args.action} requires a target", file=sys.stderr)
@@ -130,21 +121,19 @@ def _cmd_report(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        cid = hashlib.sha256(data).hexdigest()
-        (_store_dir(args) / cid).write_bytes(data)
-        print(cid)
+        print(ReportStore(args.store).store(data))
         return EXIT_OK
 
     if args.action == "get":
-        if not _CONTENT_ID_RE.fullmatch(args.target):
+        if not is_content_id(args.target):
             print(f"error: bad content id (want 64 lowercase hex digits): {args.target!r}", file=sys.stderr)
             return EXIT_USAGE
-        blob = Path(args.store) / args.target
-        if not blob.is_file():
+        try:
+            data = ReportStore(args.store).fetch(args.target)
+        except UnknownContent:
             print(f"error: unknown content id: {args.target}", file=sys.stderr)
             return EXIT_FAILURE
-        data = blob.read_bytes()
-        if hashlib.sha256(data).hexdigest() != args.target:
+        except CorruptContent:
             print(f"error: stored blob does not match its content id: {args.target}", file=sys.stderr)
             return EXIT_FAILURE
         if args.out:

@@ -662,24 +662,22 @@ def _main_default(ctx: CallContext, params: BondParams) -> None:
 
 
 def _approval(params: BondParams, dispatch: dict, opt_in: Callable[[CallContext], None]):
-    """An app's approval handler: `opt_in` on opt-in, reconfiguration at
-    deployment, free close-out, and otherwise the first argument's handler."""
+    """An app's approval handler: the first argument's handler on a NoOp
+    call, `opt_in` on opt-in, reconfiguration at deployment, and a free
+    close-out or clear-state."""
 
     def approval(ctx: CallContext) -> None:
         oc = ctx.on_complete
-        if oc is OnComplete.OPT_IN:
+        if oc is OnComplete.NO_OP:
+            action = ctx.arg(0)
+            handler = dispatch.get(action)
+            if handler is None:
+                ctx.deny("unknown_action", action=action.decode("ascii", "replace"))
+            handler(ctx, params)
+        elif oc is OnComplete.OPT_IN:
             opt_in(ctx)
-            return
-        if oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
+        elif oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
             _handle_reconfigure(ctx)
-            return
-        if oc in (OnComplete.CLOSE_OUT, OnComplete.CLEAR_STATE):
-            return
-        action = ctx.arg(0)
-        handler = dispatch.get(action)
-        if handler is None:
-            ctx.deny("unknown_action", action=action.decode("ascii", "replace"))
-        handler(ctx, params)
 
     return approval
 
@@ -822,15 +820,13 @@ def build_stablecoin_escrow_program(main_app_id: int, manage_app_id: int) -> Sta
         if not isinstance(txn, AssetTransfer) or txn.revoke_target is not None:
             return False
         # outflows need a grouped manage-app check and a fee reimbursement
-        checked = any(
-            isinstance(t, AppCall)
-            and t.app_id == manage_app_id
-            and t.args[:1] in ((ACT_NOT_DEFAULTED,), (ACT_CLAIM_DEFAULT,))
-            for t in txns
-        )
-        reimbursed = any(
-            isinstance(t, Payment) and t.receiver == txn.sender and t.amount >= txn.fee for t in txns
-        )
+        checked = reimbursed = False
+        for t in txns:
+            if isinstance(t, AppCall):
+                if t.app_id == manage_app_id and t.args[:1] in ((ACT_NOT_DEFAULTED,), (ACT_CLAIM_DEFAULT,)):
+                    checked = True
+            elif isinstance(t, Payment) and t.receiver == txn.sender and t.amount >= txn.fee:
+                reimbursed = True
         return checked and reimbursed
 
     return StatelessProgram("stablecoin-escrow", (main_app_id, manage_app_id), predicate)
@@ -862,9 +858,9 @@ def build_bond_escrow_program(main_app_id: int, sibling_escrow: Address) -> Stat
             head = txns[0]
             if not (isinstance(head, AppCall) and head.app_id == main_app_id):
                 return False
-            return any(
-                isinstance(t, Payment) and t.receiver == txn.sender and t.amount >= txn.fee for t in txns
-            )
+            for t in txns:
+                if isinstance(t, Payment) and t.receiver == txn.sender and t.amount >= txn.fee:
+                    return True
         return False
 
     return StatelessProgram("bond-escrow", (main_app_id, sibling_escrow), predicate)

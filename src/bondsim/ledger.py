@@ -3,11 +3,14 @@
 Accounts hold integer microAlgos and integer asset base units; a single
 scalar clock gates time-dependent logic; every transaction pays a flat fee;
 transaction groups of up to 16 transactions commit all-or-nothing: a group
-writes the live state in place, saving each account, app state and fee
-total before its first write to it, and a rejected group puts the saved
-objects back.  A group's cost therefore grows with the objects it touches,
-not with the size of the ledger.  Stateless and stateful approval programs
-from the `programs` module are evaluated during group submission; a
+writes the live state in place and saves what each write overwrites (an
+account's balance and minimum, a fee total, an app's flag, the previous
+value of each dict key it sets or removes), and a rejected group writes the
+saved values back into the same objects.  A group's cost therefore grows
+with what it writes, not with the size of the ledger or of an account, and
+accounts and app states keep their identity.  Stateless and stateful
+approval programs from the `programs` module are evaluated during group
+submission, each leg paying only for the checks that apply to it; a
 stateful handler writes through the same record, so its group's later legs
 read its writes and a rejection undoes them with the rest.
 
@@ -22,7 +25,7 @@ identical ledgers.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 from .programs import (
@@ -64,10 +67,16 @@ class InsufficientBalance(LedgerError):
 # transactions
 
 
+def _frozen(self, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
 def _slot_init(cls: type) -> type:
     """Give a frozen slotted dataclass, whose fields have no default factory,
     an `__init__` that stores each field through its slot: about half the
-    time of the generated one, which calls `object.__setattr__` per field."""
+    time of the generated one, which calls `object.__setattr__` per field.
+    Assigning or deleting any name raises `FrozenInstanceError`: the generated
+    pair raises `TypeError` for a name that is not a field."""
     params, lines, namespace = [], [], {}
     for f in fields(cls):
         params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
@@ -77,6 +86,7 @@ def _slot_init(cls: type) -> type:
     exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(lines), namespace)
     cls.__init__ = namespace["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 
 
@@ -206,25 +216,12 @@ class Account:
     local: dict = field(default_factory=dict)  # app_id -> {key: value}
     min_extra: int = 0  # schedule entries above the base minimum
 
-    # `.copy()`, not `dict(...)`: the constructor bypasses the free list that a
-    # freed dict returns to, so the collector would count each copy as live
-    def clone(self) -> "Account":
-        return Account(
-            self.balance,
-            self.holdings.copy(),
-            {app: kv.copy() for app, kv in self.local.items()},
-            self.min_extra,
-        )
-
 
 @dataclass
 class AppState:
     global_state: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     finalized: bool = False
-
-    def clone(self) -> "AppState":
-        return AppState(self.global_state.copy(), self.config.copy(), self.finalized)
 
 
 @dataclass(frozen=True)
@@ -245,38 +242,61 @@ class _LedgerState:
         self.fees_paid: dict = {}
 
 
+_ABSENT = object()  # a journal entry's previous value for a key that was not there
+
+
 class _Undo:
-    """Rollback record of one group.  Every write of the group goes through
-    `account`, `app` or `charge`, which save the object as it was before the
-    group's first write to it; `rollback` puts the saved objects back.  The
+    """Rollback record of one group: it saves what each write overwrites.
+    `account` saves an account's balance and minimum on the group's first
+    write to it, `charge` the sender's fee total as well, and `finalize` an
+    app's flag; `put`, `drop` and `move` journal each dict write (holdings,
+    local state, an app's global state and config, the app map) as the key's
+    previous value.  `rollback` replays the journal in reverse and restores
+    the saved scalars, so accounts and app states keep their identity.  The
     saved accounts are exactly the accounts the group wrote, whose minimum
     balances the group must leave intact.  A clear-state call writes through
     a record of its own, which it rolls back or hands to the group's with
     `adopt`."""
 
-    __slots__ = ("state", "accounts", "apps", "fees")
+    __slots__ = ("state", "accounts", "apps", "fees", "writes")
 
     def __init__(self, state: _LedgerState):
         self.state = state
-        self.accounts: dict = {}  # address -> Account before the group
-        self.apps: dict = {}  # app id -> AppState before the group
+        self.accounts: dict = {}  # address -> (Account, balance, min_extra) before the group
+        self.apps: dict = {}  # app id -> (AppState, finalized) before the group
         self.fees: dict = {}  # address -> fee total before the group, None if absent
+        self.writes: list = []  # (dict, key, previous value or _ABSENT), in write order
 
     def account(self, addr: Address) -> Account:
         acc = self.state.accounts[addr]
         if addr not in self.accounts:
-            self.accounts[addr] = acc.clone()
+            self.accounts[addr] = (acc, acc.balance, acc.min_extra)
         return acc
 
-    def app(self, app_id: int) -> AppState:
+    def put(self, table: dict, key, value) -> None:
+        self.writes.append((table, key, table.get(key, _ABSENT)))
+        table[key] = value
+
+    def drop(self, table: dict, key) -> None:
+        self.writes.append((table, key, table.pop(key)))
+
+    def move(self, asset_id: int, source: Address, target: Address, amount: int) -> None:
+        held = self.account(source).holdings
+        self.put(held, asset_id, held[asset_id] - amount)
+        held = self.account(target).holdings
+        self.put(held, asset_id, held[asset_id] + amount)
+
+    def finalize(self, app_id: int) -> None:
         app = self.state.apps[app_id]
         if app_id not in self.apps:
-            self.apps[app_id] = app.clone()
-        return app
+            self.apps[app_id] = (app, app.finalized)
+        app.finalized = True
 
-    def charge(self, addr: Address, fee: int) -> None:
-        """Take a transaction fee from `addr` and add it to its fee total."""
-        self.account(addr).balance -= fee
+    def charge(self, addr: Address, acc: Account, fee: int) -> None:
+        """Take a transaction fee from `acc`, the account at `addr`, and add it to its fee total."""
+        if addr not in self.accounts:
+            self.accounts[addr] = (acc, acc.balance, acc.min_extra)
+        acc.balance -= fee
         fees = self.state.fees_paid
         old = fees.get(addr)
         if addr not in self.fees:
@@ -284,22 +304,31 @@ class _Undo:
         fees[addr] = (old or 0) + fee
 
     def adopt(self, inner: "_Undo") -> None:
-        """Take over what `inner` saved and this record has not."""
+        """Take over `inner`'s journal, and what it saved that this record has not."""
+        self.writes += inner.writes
         for mine, theirs in ((self.accounts, inner.accounts), (self.apps, inner.apps), (self.fees, inner.fees)):
             for key, old in theirs.items():
                 mine.setdefault(key, old)
 
     def rollback(self) -> None:
-        st = self.state
-        st.accounts.update(self.accounts)
-        st.apps.update(self.apps)
+        for table, key, old in reversed(self.writes):
+            if old is _ABSENT:
+                del table[key]
+            else:
+                table[key] = old
+        for acc, balance, min_extra in self.accounts.values():
+            acc.balance, acc.min_extra = balance, min_extra
+        for app, finalized in self.apps.values():
+            app.finalized = finalized
+        fees_paid = self.state.fees_paid
         for addr, old in self.fees.items():
             if old is None:
-                del st.fees_paid[addr]
+                del fees_paid[addr]
             else:
-                st.fees_paid[addr] = old
+                fees_paid[addr] = old
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     seq: int
@@ -619,14 +648,17 @@ class Ledger:
             raise _Reject("clock_window", txn_index=idx)
         if txn.valid_until is not None and self._now > txn.valid_until:
             raise _Reject("clock_window", txn_index=idx)
-        auth = self._auth_failure(txn, group, idx)
-        if auth is not None:
-            raise _Reject(auth, txn_index=idx)
+        # a leg signed by its sender's own key that claws nothing back has
+        # nothing to authorize
+        if txn.signature is not None or (isinstance(txn, AssetTransfer) and txn.revoke_target is not None):
+            auth = self._auth_failure(txn, group, idx)
+            if auth is not None:
+                raise _Reject(auth, txn_index=idx)
         if txn.fee < FLAT_FEE:
             raise _Reject("fee_too_low", txn_index=idx)
         if acc.balance < txn.fee:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
-        undo.charge(txn.sender, txn.fee)
+        undo.charge(txn.sender, acc, txn.fee)
 
         if isinstance(txn, Payment):
             self._apply_payment(undo, txn, idx)
@@ -688,14 +720,13 @@ class Ledger:
                 raise _Reject("not_opted_in", address=txn.receiver, txn_index=idx)
             if src.holdings[txn.asset_id] < txn.amount:
                 raise _Reject("insufficient_balance", txn_index=idx, address=txn.revoke_target)
-            undo.account(txn.revoke_target).holdings[txn.asset_id] -= txn.amount
-            undo.account(txn.receiver).holdings[txn.asset_id] += txn.amount
+            undo.move(txn.asset_id, txn.revoke_target, txn.receiver, txn.amount)
             return
 
         if txn.receiver == txn.sender and txn.amount == 0 and txn.asset_id not in sender.holdings:
             # opt-in: zero self-transfer creates the holding
             sender = undo.account(txn.sender)
-            sender.holdings[txn.asset_id] = 0
+            undo.put(sender.holdings, txn.asset_id, 0)
             sender.min_extra += self.schedule.asset_opt_in
             return
 
@@ -707,8 +738,7 @@ class Ledger:
             raise _Reject("frozen_holding", txn_index=idx)
         if sender.holdings[txn.asset_id] < txn.amount:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
-        undo.account(txn.sender).holdings[txn.asset_id] -= txn.amount
-        undo.account(txn.receiver).holdings[txn.asset_id] += txn.amount
+        undo.move(txn.asset_id, txn.sender, txn.receiver, txn.amount)
 
     def _apply_app_call(self, undo: _Undo, group: TransactionGroup, idx: int) -> None:
         txn = group.txns[idx]
@@ -723,7 +753,7 @@ class Ledger:
             if txn.app_id in st.accounts[txn.sender].local:
                 raise _Reject("already_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
-            acc.local[txn.app_id] = {}
+            undo.put(acc.local, txn.app_id, {})
             acc.min_extra += self.schedule.app_opt_in_entry(program)
 
         if oc is OnComplete.CLEAR_STATE:
@@ -741,17 +771,19 @@ class Ledger:
                 denial = {"code": d.code, **d.detail}
         if denial is not None:
             raise _Reject("app_rejected", {"txn_index": idx, "app": txn.app_id, **denial})
-        self._raise_bad_write(ctx)
+        if ctx.bad_write is not None:
+            raise _Reject(*ctx.bad_write)
+        if oc is OnComplete.NO_OP:
+            return
 
         if oc is OnComplete.CLOSE_OUT:
             if txn.app_id not in st.accounts[txn.sender].local:
                 raise _Reject("not_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
-            del acc.local[txn.app_id]
+            undo.drop(acc.local, txn.app_id)
             acc.min_extra -= self.schedule.app_opt_in_entry(program)
         elif oc is OnComplete.DELETE_APPLICATION:
-            undo.app(txn.app_id)
-            del st.apps[txn.app_id]
+            undo.drop(st.apps, txn.app_id)
             undo.account(code.creator).min_extra -= self.schedule.app_create_entry(program)
 
     def _clear_state(self, undo: _Undo, code: _AppCode, group: TransactionGroup, idx: int) -> None:
@@ -773,25 +805,16 @@ class Ledger:
                     undo.adopt(inner)
         if txn.app_id not in undo.state.accounts[txn.sender].local:
             raise _Reject("not_opted_in", txn_index=idx)
-        if not denied:
-            self._raise_bad_write(ctx)
+        if not denied and ctx.bad_write is not None:
+            raise _Reject(*ctx.bad_write)
         acc = undo.account(txn.sender)
-        del acc.local[txn.app_id]
+        undo.drop(acc.local, txn.app_id)
         acc.min_extra -= self.schedule.app_opt_in_entry(code.program)
 
-    @staticmethod
-    def _raise_bad_write(ctx: CallContext) -> None:
-        """Reject a call whose handler made a write it may not make: a global
-        schema overflow first, then the first bad local write."""
-        if ctx.global_overflow:
-            raise _Reject("app_rejected", {"app": ctx.app_id, "code": "global_schema_exceeded"})
-        if ctx.bad_local is not None:
-            raise _Reject(*ctx.bad_local)
-
     def _check_min_balances(self, undo: _Undo) -> None:
-        accounts = undo.state.accounts
-        for addr in sorted(undo.accounts):
-            acc = accounts[addr]
+        saved = undo.accounts
+        for addr in sorted(saved):
+            acc = saved[addr][0]
             if acc.balance == 0 and acc.min_extra == 0:
                 continue  # dormant or pure-asset account
             required = BASE_MIN_BALANCE + acc.min_extra

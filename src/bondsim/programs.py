@@ -10,9 +10,11 @@ Two program kinds plug into the ledger:
 
 Stateless programs never see ledger state: their predicate receives only the
 group being evaluated, the index of the transaction they are signing, and the
-submission time.  Stateful handlers read and write the live ledger state
-through a `CallContext`, which saves what each write replaces in the
-enclosing group's rollback record: a rejected group puts it all back.
+submission time.  Stateful handlers read the live ledger state directly
+through a `CallContext`, and each of their writes journals the value it
+replaces in the enclosing group's rollback record: a rejected group writes
+those values back.  The ledger evaluates every logic signature through
+`eval_logic_signature` and every call through its program's `approval`.
 """
 from __future__ import annotations
 
@@ -139,10 +141,11 @@ class CallContext:
 
     Reads and writes go to the live ledger state, each write through the
     group's rollback record `undo`, so later legs see it and a rejection
-    undoes it.  A write the app may not make is noted, not raised: a global
-    schema overflow, and the first bad local write (a local overflow, or an
-    account unknown or not opted in, which is left unwritten).  The ledger
-    rejects the call for them once the handler returns, after any denial.
+    undoes it.  A write the app may not make is noted as `bad_write`, the
+    rejection (code, detail) it earns, not raised: a global schema overflow,
+    or else the first bad local write (a local overflow, or an account unknown
+    or not opted in, which is left unwritten).  The ledger rejects the call
+    with it once the handler returns, after any denial.
     Account and application references are enforced: a handler can only read
     balances/local state of its caller and the accounts listed on the
     transaction, and only read global state of its own app and the apps
@@ -150,7 +153,7 @@ class CallContext:
     """
 
     __slots__ = ("app_id", "creator", "sender", "on_complete", "args", "accounts", "apps", "group", "txn_index",
-                 "now", "global_overflow", "bad_local", "_code", "_undo", "_accounts", "_app")
+                 "now", "bad_write", "_code", "_undo", "_accounts", "_app")
 
     def __init__(
         self, txn: "AppCall", code: "_AppCode", group: "TransactionGroup", txn_index: int, now: int, undo: "_Undo"
@@ -165,8 +168,7 @@ class CallContext:
         self.group = group
         self.txn_index = txn_index
         self.now = now
-        self.global_overflow = False
-        self.bad_local: Optional[tuple] = None  # (rejection code, detail) of the first bad local write
+        self.bad_write: Optional[tuple] = None
         self._code = code  # the app's code record: creator and schema caps
         self._undo = undo
         self._accounts = undo.state.accounts
@@ -212,14 +214,17 @@ class CallContext:
         return None if app is None else app.global_state.get(key)
 
     def global_uint(self, key: bytes, app_id: Optional[int] = None) -> int:
-        value = self.global_value(key, app_id)
+        if app_id is None or app_id == self.app_id:
+            value = self._app.global_state.get(key)
+        else:
+            value = self.global_value(key, app_id)
         return value if isinstance(value, int) else 0
 
     def global_put(self, key: bytes, value: StateValue) -> None:
-        state = self._undo.app(self.app_id).global_state
-        state[key] = value
+        state = self._app.global_state
+        self._undo.put(state, key, value)
         if len(state) > self._code.global_cap:
-            self.global_overflow = True
+            self.bad_write = ("app_rejected", {"app": self.app_id, "code": "global_schema_exceeded"})
 
     # -- local state ---------------------------------------------------------
 
@@ -235,21 +240,24 @@ class CallContext:
         return None if local is None else local.get(key)
 
     def local_uint(self, addr: str, key: bytes) -> int:
-        value = self.local_value(addr, key)
+        self._check_account_ref(addr)
+        acc = self._accounts.get(addr)
+        local = None if acc is None else acc.local.get(self.app_id)
+        value = None if local is None else local.get(key)
         return value if isinstance(value, int) else 0
 
     def local_put(self, addr: str, key: bytes, value: StateValue) -> None:
         self._check_account_ref(addr)
         acc = self._accounts.get(addr)
         if acc is None or self.app_id not in acc.local:
-            if self.bad_local is None:
+            if self.bad_write is None:
                 not_opted_in = ("app_rejected", {"app": self.app_id, "code": "not_opted_in", "account": addr})
-                self.bad_local = ("unknown_address", {"address": addr}) if acc is None else not_opted_in
+                self.bad_write = ("unknown_address", {"address": addr}) if acc is None else not_opted_in
             return
         local = self._undo.account(addr).local[self.app_id]
-        local[key] = value
-        if len(local) > self._code.local_cap and self.bad_local is None:
-            self.bad_local = ("app_rejected", {"app": self.app_id, "code": "local_schema_exceeded"})
+        self._undo.put(local, key, value)
+        if len(local) > self._code.local_cap and self.bad_write is None:
+            self.bad_write = ("app_rejected", {"app": self.app_id, "code": "local_schema_exceeded"})
 
     # -- app configuration (set at deployment, then frozen) -------------------
 
@@ -258,14 +266,14 @@ class CallContext:
         return default if value is None else value
 
     def config_put(self, key: str, value) -> None:
-        self._undo.app(self.app_id).config[key] = value
+        self._undo.put(self._app.config, key, value)
 
     @property
     def finalized(self) -> bool:
         return self._app.finalized
 
     def finalize(self) -> None:
-        self._undo.app(self.app_id).finalized = True
+        self._undo.finalize(self.app_id)
 
     # -- balances --------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Content-addressed report store and on-ledger anchoring.
 
 Reports live in a local content-addressed store (hash of the bytes is the
-content id).  Anchoring a report submits a zero-amount self-payment whose
+content id), in memory or in a directory with one file per report.  Anchoring a report submits a zero-amount self-payment whose
 note is "<manage-app-id>+<content-id>".
 
 Listing reads the ledger's per-sender index of committed noted transactions
@@ -16,9 +16,11 @@ with it.
 from __future__ import annotations
 
 import hashlib
+import re
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Union
 
 from .ledger import Address, Ledger, Payment, SubmitResult
 
@@ -27,38 +29,63 @@ ContentId = str
 MAX_NOTE_BYTES = 1024
 NOTE_SEPARATOR = "+"
 _SEPARATOR_BYTES = NOTE_SEPARATOR.encode("ascii")
+_CONTENT_ID_RE = re.compile(r"[0-9a-f]{64}")  # SHA-256 hex digest; never a path
 
 
 class UnknownContent(KeyError):
     pass
 
 
+class CorruptContent(ValueError):
+    """A stored file whose bytes no longer hash to its content id."""
+
+
 class NoteTooLong(ValueError):
     pass
 
 
-class ReportStore:
-    """Append-only blob store keyed by content hash."""
+def is_content_id(text: str) -> bool:
+    return _CONTENT_ID_RE.fullmatch(text) is not None
 
-    def __init__(self):
+
+class ReportStore:
+    """Append-only blob store keyed by content hash.  Blobs live in memory,
+    or, given a `directory`, one file per blob named by its content id: a
+    fetch reads only a file so named and refuses one whose bytes no longer
+    hash to its name."""
+
+    def __init__(self, directory: Union[str, Path, None] = None):
         self._blobs: dict = {}
+        self._dir = None if directory is None else Path(directory)
 
     def store(self, data: bytes) -> ContentId:
         cid = hashlib.sha256(data).hexdigest()
-        self._blobs.setdefault(cid, bytes(data))
+        if self._dir is None:
+            self._blobs.setdefault(cid, bytes(data))
+        else:
+            self._dir.mkdir(parents=True, exist_ok=True)
+            (self._dir / cid).write_bytes(data)
         return cid
 
     def fetch(self, cid: ContentId) -> bytes:
-        try:
+        if cid not in self:
+            raise UnknownContent(cid)
+        if self._dir is None:
             return self._blobs[cid]
-        except KeyError:
-            raise UnknownContent(cid) from None
+        data = (self._dir / cid).read_bytes()
+        if hashlib.sha256(data).hexdigest() != cid:
+            raise CorruptContent(cid)
+        return data
 
     def __contains__(self, cid: ContentId) -> bool:
-        return cid in self._blobs
+        if self._dir is None:
+            return cid in self._blobs
+        return is_content_id(cid) and (self._dir / cid).is_file()
 
     def __len__(self) -> int:
-        return len(self._blobs)
+        if self._dir is None:
+            return len(self._blobs)
+        return sum(is_content_id(path.name) for path in self._dir.glob("*"))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from bondsim.ledger import (
     BASE_MIN_BALANCE,
     FLAT_FEE,
     MAX_GROUP_SIZE,
+    Account,
+    AppState,
     AssetTransfer,
     Ledger,
     Payment,
@@ -198,9 +200,13 @@ class CallContext:
 
 
 def clone_state(state: _LedgerState) -> _LedgerState:
+    """A copy of `state` that shares no account, app state or dict with it."""
     st = _LedgerState()
-    st.accounts = {a: acc.clone() for a, acc in state.accounts.items()}
-    st.apps = {i: s.clone() for i, s in state.apps.items()}
+    st.accounts = {
+        a: Account(acc.balance, dict(acc.holdings), {app: dict(kv) for app, kv in acc.local.items()}, acc.min_extra)
+        for a, acc in state.accounts.items()
+    }
+    st.apps = {i: AppState(dict(s.global_state), dict(s.config), s.finalized) for i, s in state.apps.items()}
     st.fees_paid = dict(state.fees_paid)
     return st
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from bondsim.ledger import FLAT_FEE, Ledger
 from bondsim.reports import (
     MAX_NOTE_BYTES,
+    CorruptContent,
     NoteTooLong,
     ReportNote,
     ReportStore,
@@ -15,9 +18,9 @@ from bondsim.reports import (
 )
 
 
-@pytest.fixture
-def store():
-    return ReportStore()
+@pytest.fixture(params=["memory", "directory"])
+def store(request, tmp_path):
+    return ReportStore() if request.param == "memory" else ReportStore(tmp_path / "store")
 
 
 def test_store_round_trip(store):
@@ -49,6 +52,34 @@ def test_fetch_unaffected_by_other_stores(store):
     for i in range(10):
         store.store(b"noise %d" % i)
     assert store.fetch(cid) == b"original"
+
+
+def test_directory_store_keeps_one_file_per_blob_across_instances(tmp_path):
+    cid = ReportStore(tmp_path / "store").store(b"annual impact data")
+    assert [p.name for p in (tmp_path / "store").iterdir()] == [cid]
+    reopened = ReportStore(tmp_path / "store")
+    assert cid in reopened and len(reopened) == 1
+    assert reopened.fetch(cid) == b"annual impact data"
+
+
+def test_directory_store_fetches_nothing_it_would_not_have_named(tmp_path):
+    (tmp_path / "secret").write_text("host file")
+    store = ReportStore(tmp_path / "store")
+    assert len(store) == 0
+    for name in ("../secret", "secret", "F" * 64):
+        assert name not in store
+        with pytest.raises(UnknownContent):
+            store.fetch(name)
+
+
+def test_directory_store_refuses_a_tampered_blob(tmp_path):
+    store = ReportStore(tmp_path / "store")
+    cid = store.store(b"genuine impact data")
+    (tmp_path / "store" / cid).write_bytes(b"forged impact data")
+    with pytest.raises(CorruptContent):
+        store.fetch(cid)
+    assert store.store(b"genuine impact data") == cid == hashlib.sha256(b"genuine impact data").hexdigest()
+    assert store.fetch(cid) == b"genuine impact data"
 
 
 @given(st.binary(max_size=512))

@@ -1,8 +1,9 @@
 """Group evaluation writes the live state in place and rolls back a rejected
 group.  These tests hold it to the clone-based reference in `clone_ledger`,
-check that a raising handler leaves no trace, that a group saves only the
-accounts it names, and that a dropped ledger is freed without the cyclic
-garbage collector."""
+check that a raising handler leaves no trace, that a rollback replays the
+group's journal in reverse and keeps every account and app state object,
+that a group saves only the accounts it names, and that a dropped ledger is
+freed without the cyclic garbage collector."""
 import gc
 import weakref
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bondsim import greenbond as gb
+from bondsim import ledger as ledger_module
 from bondsim.greenbond import UNIT
-from bondsim.ledger import FLAT_FEE, Account, AppCall, AssetTransfer, Ledger, Payment
+from bondsim.ledger import FLAT_FEE, AppCall, AssetTransfer, Ledger, Payment
 from bondsim.programs import OnComplete, SecretKey, StatefulProgram, StateSchema
 
 from clone_ledger import CloneLedger
@@ -246,6 +248,69 @@ def test_raising_handler_propagates_and_leaves_no_trace():
 
 
 # ---------------------------------------------------------------------------
+# a rollback replays the journal in reverse and keeps every object
+
+
+def held_objects(led):
+    """Every account and app state the ledger holds and every dict they own,
+    in a fixed order."""
+    held = []
+    for _, acc in sorted(led._state.accounts.items()):
+        held += [acc, acc.holdings, acc.local, *(kv for _, kv in sorted(acc.local.items()))]
+    for _, app in sorted(led._state.apps.items()):
+        held += [app, app.global_state, app.config]
+    return held
+
+
+@pytest.mark.parametrize("writes", approved_groups(), ids=["finalize", "delete", "delete_alone"])
+def test_rejected_group_keeps_every_object_with_its_fields(writes):
+    led = build(Ledger)
+    held, state = held_objects(led), led.observable_state()
+    result = led.submit_group(writes + [Payment(sender="a0", receiver="ghost", amount=1)])
+    assert result.rejected and result.rejection.code == "unknown_address"
+    after = held_objects(led)
+    assert len(after) == len(held) and all(old is new for old, new in zip(held, after))
+    assert led.observable_state() == state
+
+
+def test_keys_written_twice_get_their_first_values_back():
+    led = build(Ledger)
+    bump = AppCall(sender="a1", app_id=APP, args=(b"bump",))
+    assert led.submit_group([bump]).approved
+    first = (led.app_global(APP, b"count"), led.app_local("a1", APP, b"tally"), led.asset_balance("a1", ASSET))
+    assert first == (1, 1, 300)
+    move = AssetTransfer(sender="a1", asset_id=ASSET, receiver="a2", amount=7)
+    result = led.submit_group([bump, move, bump, move, AppCall(sender="a1", app_id=APP, args=(b"fail",))])
+    assert result.rejected and result.rejection.detail["code"] == "asked_to"
+    assert (led.app_global(APP, b"count"), led.app_local("a1", APP, b"tally"), led.asset_balance("a1", ASSET)) == first
+    assert led.asset_balance("a2", ASSET) == 0
+
+
+def test_rejected_group_gets_its_deleted_app_back():
+    led = build(Ledger)
+    app = led._state.apps[APP]
+    creator_min = led.min_balance("creator")
+    delete = AppCall(sender="a3", app_id=APP, on_complete=OnComplete.DELETE_APPLICATION, args=(b"delete",))
+    result = led.submit_group([delete, Payment(sender="poor", receiver="a0", amount=0)])
+    assert result.rejected and result.rejection.code == "insufficient_balance"
+    assert led._state.apps[APP] is app
+    assert led.min_balance("creator") == creator_min
+    assert led.submit_group([AppCall(sender="a1", app_id=APP, args=(b"bump",))]).approved
+
+
+def test_approved_clear_state_then_failing_leg_gets_the_local_state_back():
+    led = build(Ledger)
+    acc = led._state.accounts["a1"]
+    local, kv = acc.local, acc.local[APP]
+    before = (dict(kv), led.min_balance("a1"), led.app_global(APP, b"count"))
+    clear = AppCall(sender="a1", app_id=APP, on_complete=OnComplete.CLEAR_STATE)
+    result = led.submit_group([clear, AppCall(sender="a2", app_id=APP, args=(b"fail",))])
+    assert result.rejected and result.rejection.detail == {"txn_index": 1, "app": APP, "code": "asked_to"}
+    assert acc.local is local and acc.local == {APP: kv} and acc.local[APP] is kv
+    assert (dict(kv), led.min_balance("a1"), led.app_global(APP, b"count")) == before
+
+
+# ---------------------------------------------------------------------------
 # cost grows with the accounts a group touches, not with the ledger
 
 
@@ -263,12 +328,20 @@ def backed_up_accounts_for_one_buy(extra_accounts, monkeypatch):
         named.update(getattr(t, "accounts", ()))
     named.discard(None)
 
-    saved = []
-    clone = Account.clone
-    monkeypatch.setattr(Account, "clone", lambda acc: saved.append(acc) or clone(acc))
+    records = []
+
+    class RecordingUndo(ledger_module._Undo):
+        __slots__ = ()
+
+        def __init__(self, state):
+            super().__init__(state)
+            records.append(self)
+
+    monkeypatch.setattr(ledger_module, "_Undo", RecordingUndo)
     assert env.ledger.submit_group(group).approved
     monkeypatch.undo()
-    return len(saved), len(named)
+    (undo,) = records
+    return len(undo.accounts), len(named)
 
 
 def test_buy_backs_up_only_the_accounts_it_names(monkeypatch):
