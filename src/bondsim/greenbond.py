@@ -28,7 +28,7 @@ its builder, the apps' checks and the trade-offer predicate all read it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -47,6 +47,10 @@ from .ledger import (
     TransactionGroup,
 )
 from .programs import (
+    DELETE_APPLICATION,
+    NO_OP,
+    OPT_IN,
+    UPDATE_APPLICATION,
     CallContext,
     LogicSig,
     OnComplete,
@@ -141,15 +145,20 @@ class BondParams:
     financial_regulator: Address
     stablecoin_id: int
 
-    @property
+    @cached_property
     def supply_base_units(self) -> int:
         return self.total_bonds * UNIT
 
-    @property
+    @cached_property
     def coupon_period(self) -> int:
         if self.coupon_rounds == 0:
             return 0
         return (self.maturity - self.end_buy) // self.coupon_rounds
+
+    @cached_property
+    def coupons(self) -> tuple:
+        """The per-bond coupon at each rating; an unrated round (0) pays the top rating's."""
+        return tuple(effective_coupon(self.coupon_base, rating or TOP_RATING) for rating in range(TOP_RATING + 1))
 
     def validate(self) -> None:
         if self.total_bonds <= 0:
@@ -247,14 +256,15 @@ def format_usd(base_units: int) -> str:
 #
 # Every action runs as one atomic group whose shape is the protocol's safety
 # boundary: which transaction sits at which index, who sends it, which asset
-# it moves and how much.  Each action's shape and cost rows are defined once,
-# below.  Its builder fills the shape in; the main app checks the legs after
-# its own call, the manage app the head and the payout, and a trade offer
-# the legs of a trade.  A pin is Python source: a field equals an expression
-# (or None), or is a `_Pin`; `txns` is the group (in a builder, the legs built
-# so far) and `$name` an operand of the deployment, the bond or the action.
-# Like a dataclass's `__init__`, each builder and check is compiled (once, on
-# its first call) into a plain function: a handler pays for its comparisons.
+# it moves and how much.  Each action's shape, which fixes the legs each of
+# its cost rows counts, is defined once below.  Its builder fills the shape
+# in, one positional call per leg; the main app checks the legs after its own
+# call, the manage app the head and the payout, and a trade offer the legs of
+# a trade.  A pin is Python source: a field equals an expression (or None), or
+# is a `_Pin`; `txns` is the group (in a builder, the legs built so far) and
+# `$name` an operand of the deployment, the bond or the action.  Like a
+# dataclass's `__init__`, each builder and check is compiled (once, on its
+# first call) into a plain function: a handler pays for its comparisons.
 
 
 class _Pin(NamedTuple):
@@ -314,7 +324,10 @@ _SOURCES = {
     "calls_main": ("dep._calls_main",),
 }
 _OPERAND = re.compile(r"\$(\w+)")
-_NAMESPACE = {kind.__name__: kind for kind in (AppCall, AssetTransfer, OnComplete, Payment, TransactionGroup)}
+_EARLIER = re.compile(r"txns\[(\d+)\]")  # a builder's earlier leg, as a pin names it
+_ESCROWS = ("$bond_escrow", "$stablecoin_escrow")
+_NAMESPACE = {kind.__name__: kind for kind in (AppCall, AssetTransfer, Payment, TransactionGroup)}
+_NAMESPACE.update(OnComplete.__members__)  # NO_OP and the rest, bound once
 
 
 def _compile(owner, name: str, arguments: str, side: str, render: Callable) -> None:
@@ -355,19 +368,31 @@ class _Leg:
 class _Shape:
     """An action's legs in group order, and its cost rows (the index of the
     leg whose sender pays -> the row's label).  `build(dep, actor, **own)`
-    makes the group."""
+    makes the group.  `costs`: per row, (payer leg, label, the legs with the
+    payer leg's `sender` pin, whose fees it pays, and its escrow refunds)."""
 
     def __init__(self, labels: dict, *legs: _Leg):
-        self.labels, self.legs = labels, legs
+        self.legs, self.costs = legs, []
+        for payer, label in labels.items():
+            paid = tuple(i for i, leg in enumerate(legs) if leg.pins["sender"] == legs[payer].pins["sender"])
+            refunds = tuple(i for i in paid if legs[i].kind is Payment and legs[i].pins["receiver"].value in _ESCROWS)
+            self.costs.append((payer, label, paid, refunds))
         _compile(self, "build", "dep, actor", "dep", self._render)
 
     def _render(self, source: Callable) -> list:
-        lines = ["txns = []"]
+        """Each leg as one positional call, in its class's field order up to the
+        last field it sets, bound to `t<index>` for the later legs that read it."""
+        legs = []
         for leg in self.legs:
-            fields = [f"{field}={source(pin.value)}" for field, pin in leg.pins.items()]
-            fields += [f"{field}={source(text)}" for field, text in leg.extra.items()]
-            lines.append(f"txns.append({leg.kind.__name__}({', '.join(fields)}))")
-        return [*lines, "return TransactionGroup(tuple(txns))"]
+            given = {**{field: pin.value for field, pin in leg.pins.items()}, **leg.extra}
+            kind = fields(leg.kind)
+            # each default as source: an `OnComplete` member by its name in the namespace
+            defaults = [f.default.name if isinstance(f.default, OnComplete) else repr(f.default) for f in kind]
+            values = [given.get(f.name, default) for f, default in zip(kind, defaults)]
+            while values[-1] == defaults[len(values) - 1]:
+                values.pop()
+            legs.append(f"(t{len(legs)} := {leg.kind.__name__}({', '.join(map(source, values))}))")
+        return [_EARLIER.sub(r"t\1", f"return TransactionGroup(({', '.join(legs)},))")]
 
 
 class _Check:
@@ -409,7 +434,7 @@ def _main_call(action: bytes, *values: str, build: Optional[dict] = None) -> _Le
     """A call of the main app that stays in it: the manage app and a trade
     offer rely on the main app's checks, which an opt-in or close-out skips."""
     args = _action(action, *values)
-    return _Leg(AppCall, build, sender="$actor", app_id="$main_app", on_complete="OnComplete.NO_OP", args=args)
+    return _Leg(AppCall, build, sender="$actor", app_id="$main_app", on_complete="NO_OP", args=args)
 
 
 def _refund(escrow: str, leg: int, build: Optional[dict] = None) -> _Leg:
@@ -521,7 +546,7 @@ def _handle_reconfigure(ctx: CallContext) -> None:
         ctx.deny("finalized")
     if ctx.sender != ctx.creator:
         ctx.deny("not_creator")
-    if ctx.on_complete is OnComplete.DELETE_APPLICATION:
+    if ctx.on_complete is DELETE_APPLICATION:
         return
     ctx.require(len(ctx.args) >= 1 and ctx.arg(0) == b"configure", "bad_args")
     i = 1
@@ -620,7 +645,7 @@ def _main_coupon(ctx: CallContext, params: BondParams) -> None:
         ctx.deny("nothing_claimable", coupons_paid=paid, claimable=claimable)
     round_no = paid + 1
     rating = _slot_rating(ctx.global_value(_rating_key(round_no), app_id=ctx.config(CFG_PEER_APP)), round_no)
-    per_bond = effective_coupon(params.coupon_base, rating if rating else TOP_RATING)
+    per_bond = params.coupons[rating]
     expected = holdings * per_bond // UNIT
     _COUPON_CHECK.require(ctx, params, payout=expected)
 
@@ -668,15 +693,15 @@ def _approval(params: BondParams, dispatch: dict, opt_in: Callable[[CallContext]
 
     def approval(ctx: CallContext) -> None:
         oc = ctx.on_complete
-        if oc is OnComplete.NO_OP:
+        if oc is NO_OP:
             action = ctx.arg(0)
             handler = dispatch.get(action)
             if handler is None:
                 ctx.deny("unknown_action", action=action.decode("ascii", "replace"))
             handler(ctx, params)
-        elif oc is OnComplete.OPT_IN:
+        elif oc is OPT_IN:
             opt_in(ctx)
-        elif oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
+        elif oc is UPDATE_APPLICATION or oc is DELETE_APPLICATION:
             _handle_reconfigure(ctx)
 
     return approval
@@ -740,8 +765,7 @@ def _next_obligation(ctx: CallContext, params: BondParams, main_app: int, circul
     unlocked = ctx.global_uint(KEY_COUPONS_PAID, app_id=main_app)
     if unlocked < params.coupon_rounds:
         rating = _slot_rating(ctx.global_value(_rating_key(unlocked + 1)), unlocked + 1)
-        per_bond = effective_coupon(params.coupon_base, rating if rating else TOP_RATING)
-        return per_bond * circulation // UNIT
+        return params.coupons[rating] * circulation // UNIT
     return circulation * params.principal // UNIT
 
 
@@ -923,7 +947,7 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
         AppCall(
             sender=operator,
             app_id=app_id,
-            on_complete=OnComplete.UPDATE_APPLICATION,
+            on_complete=UPDATE_APPLICATION,
             args=_configure_args({**config, CFG_PEER_APP: peer}),
         )
         for app_id, peer in ((main_id, manage_id), (manage_id, main_id))
@@ -1018,8 +1042,7 @@ def build_coupon_group(ledger: Ledger, dep: BondDeployment, investor: Address) -
     paid = ledger.app_local(investor, dep.main_app_id, KEY_COUPONS_PAID) or 0
     round_no = min(paid + 1, max(p.coupon_rounds, 1))
     rating = get_rating(ledger, dep, round_no) if round_no <= p.coupon_rounds else 0
-    per_bond = effective_coupon(p.coupon_base, rating if rating else TOP_RATING)
-    return _COUPON.build(dep, investor, payout=holdings * per_bond // UNIT)
+    return _COUPON.build(dep, investor, payout=holdings * p.coupons[rating] // UNIT)
 
 
 def build_principal_group(ledger: Ledger, dep: BondDeployment, investor: Address) -> TransactionGroup:
@@ -1083,15 +1106,14 @@ def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: Transacti
     fees plus the fee refunds it paid the escrows."""
     result = ledger.submit_group(group)
     if result.approved:
-        escrows = (dep.bond_escrow, dep.stablecoin_escrow)
-        for leg, label in shape.labels.items():
-            payer = group.txns[leg].sender
-            fee = refunds = 0
-            for t in group.txns:
-                if t.sender == payer:
-                    fee += t.fee
-                    refunds += t.amount if isinstance(t, Payment) and t.receiver in escrows else 0
-            ledger.cost.record(payer, label, amount=refunds, fee=fee, tag=dep.main_app_id)
+        txns = group.txns
+        for payer, label, paid, refunds in shape.costs:
+            fee = amount = 0
+            for leg in paid:
+                fee += txns[leg].fee
+            for leg in refunds:
+                amount += txns[leg].amount
+            ledger.cost.record(txns[payer].sender, label, amount=amount, fee=fee, tag=dep.main_app_id)
     return result
 
 
@@ -1104,9 +1126,7 @@ def register_investor(ledger: Ledger, dep: BondDeployment, investor: Address) ->
     ledger.cost.record(
         investor, ROW_OPT_IN_ASA, min_delta=ledger.schedule.asset_opt_in, fee=FLAT_FEE, tag=dep.main_app_id
     )
-    result = ledger.submit_group(
-        [AppCall(sender=investor, app_id=dep.main_app_id, on_complete=OnComplete.OPT_IN)]
-    )
+    result = ledger.submit_group([AppCall(investor, dep.main_app_id, OPT_IN)])
     if result.rejected:
         return result
     ledger.cost.record(

@@ -4,11 +4,11 @@ Accounts hold integer microAlgos and integer asset base units; a single
 scalar clock gates time-dependent logic; every transaction pays a flat fee;
 transaction groups of up to 16 transactions commit all-or-nothing: a group
 writes the live state in place and saves what each write overwrites (an
-account's balance and minimum, a fee total, an app's flag, the previous
-value of each dict key it sets or removes), and a rejected group writes the
-saved values back into the same objects.  A group's cost therefore grows
-with what it writes, not with the size of the ledger or of an account, and
-accounts and app states keep their identity.  Stateless and stateful
+account's balance and minimum, an app's flag, the previous value of each
+dict key it sets or removes), and a rejected group writes the saved values
+back into the same objects.  A group's cost therefore grows with what it
+writes, not with the size of the ledger or of an account, and accounts and
+app states keep their identity.  Stateless and stateful
 approval programs from the `programs` module are evaluated during group
 submission, each leg paying only for the checks that apply to it; a
 stateful handler writes through the same record, so its group's later legs
@@ -17,7 +17,8 @@ read its writes and a rejection undoes them with the rest.
 A committed group leaves its transactions and commit times in two lists,
 not an object per transaction for the cyclic garbage collector to count:
 `applied_log` makes the `LogEntry` records on read, and only a transaction
-with a note gets its record at commit, for `noted_by`.
+with a note gets its record at commit, for `noted_by`.  Each sender's fee
+total is written at commit too, so a group never journals one.
 
 All money arithmetic is integer arithmetic.  There is no randomness and no
 wall-clock access anywhere, so identical operation sequences produce
@@ -29,6 +30,11 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 from .programs import (
+    CLEAR_STATE,
+    CLOSE_OUT,
+    DELETE_APPLICATION,
+    NO_OP,
+    OPT_IN,
     CallContext,
     Deny,
     MAX_GLOBAL_KEYS,
@@ -247,24 +253,23 @@ _ABSENT = object()  # a journal entry's previous value for a key that was not th
 
 class _Undo:
     """Rollback record of one group: it saves what each write overwrites.
-    `account` saves an account's balance and minimum on the group's first
-    write to it, `charge` the sender's fee total as well, and `finalize` an
-    app's flag; `put`, `drop` and `move` journal each dict write (holdings,
-    local state, an app's global state and config, the app map) as the key's
-    previous value.  `rollback` replays the journal in reverse and restores
+    `account` and `charge` save an account's balance and minimum on the
+    group's first write to it, and `finalize` an app's flag; fee totals are
+    written only at commit, so they need no saving.  `put`, `drop` and `move`
+    journal each dict write (holdings, local state, an app's global state and
+    config, the app map) as the key's previous value.  `rollback` replays the journal in reverse and restores
     the saved scalars, so accounts and app states keep their identity.  The
     saved accounts are exactly the accounts the group wrote, whose minimum
     balances the group must leave intact.  A clear-state call writes through
     a record of its own, which it rolls back or hands to the group's with
     `adopt`."""
 
-    __slots__ = ("state", "accounts", "apps", "fees", "writes")
+    __slots__ = ("state", "accounts", "apps", "writes")
 
     def __init__(self, state: _LedgerState):
         self.state = state
         self.accounts: dict = {}  # address -> (Account, balance, min_extra) before the group
         self.apps: dict = {}  # app id -> (AppState, finalized) before the group
-        self.fees: dict = {}  # address -> fee total before the group, None if absent
         self.writes: list = []  # (dict, key, previous value or _ABSENT), in write order
 
     def account(self, addr: Address) -> Account:
@@ -293,20 +298,15 @@ class _Undo:
         app.finalized = True
 
     def charge(self, addr: Address, acc: Account, fee: int) -> None:
-        """Take a transaction fee from `acc`, the account at `addr`, and add it to its fee total."""
+        """Take a transaction fee from `acc`, the account at `addr`."""
         if addr not in self.accounts:
             self.accounts[addr] = (acc, acc.balance, acc.min_extra)
         acc.balance -= fee
-        fees = self.state.fees_paid
-        old = fees.get(addr)
-        if addr not in self.fees:
-            self.fees[addr] = old
-        fees[addr] = (old or 0) + fee
 
     def adopt(self, inner: "_Undo") -> None:
         """Take over `inner`'s journal, and what it saved that this record has not."""
         self.writes += inner.writes
-        for mine, theirs in ((self.accounts, inner.accounts), (self.apps, inner.apps), (self.fees, inner.fees)):
+        for mine, theirs in ((self.accounts, inner.accounts), (self.apps, inner.apps)):
             for key, old in theirs.items():
                 mine.setdefault(key, old)
 
@@ -320,12 +320,6 @@ class _Undo:
             acc.balance, acc.min_extra = balance, min_extra
         for app, finalized in self.apps.values():
             app.finalized = finalized
-        fees_paid = self.state.fees_paid
-        for addr, old in self.fees.items():
-            if old is None:
-                del fees_paid[addr]
-            else:
-                fees_paid[addr] = old
 
 
 @_slot_init
@@ -610,10 +604,11 @@ class Ledger:
         return APPROVED
 
     def _record(self, group: TransactionGroup) -> None:
-        txns, seq, now = group.txns, len(self._txns), self._now
+        txns, seq, now, fees = group.txns, len(self._txns), self._now, self._state.fees_paid
         self._txns += txns
         self._times += [now] * len(txns)
         for txn in txns:
+            fees[txn.sender] = fees.get(txn.sender, 0) + txn.fee
             if txn.note:
                 self._noted.setdefault(txn.sender, []).append(LogEntry(seq, now, txn))
             seq += 1
@@ -749,14 +744,14 @@ class Ledger:
         program = code.program
         oc = txn.on_complete
 
-        if oc is OnComplete.OPT_IN:
+        if oc is OPT_IN:
             if txn.app_id in st.accounts[txn.sender].local:
                 raise _Reject("already_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
             undo.put(acc.local, txn.app_id, {})
             acc.min_extra += self.schedule.app_opt_in_entry(program)
 
-        if oc is OnComplete.CLEAR_STATE:
+        if oc is CLEAR_STATE:
             self._clear_state(undo, code, group, idx)
             return
         ctx = CallContext(txn, code, group, idx, self._now, undo)
@@ -773,16 +768,16 @@ class Ledger:
             raise _Reject("app_rejected", {"txn_index": idx, "app": txn.app_id, **denial})
         if ctx.bad_write is not None:
             raise _Reject(*ctx.bad_write)
-        if oc is OnComplete.NO_OP:
+        if oc is NO_OP:
             return
 
-        if oc is OnComplete.CLOSE_OUT:
+        if oc is CLOSE_OUT:
             if txn.app_id not in st.accounts[txn.sender].local:
                 raise _Reject("not_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
             undo.drop(acc.local, txn.app_id)
             acc.min_extra -= self.schedule.app_opt_in_entry(program)
-        elif oc is OnComplete.DELETE_APPLICATION:
+        elif oc is DELETE_APPLICATION:
             undo.drop(st.apps, txn.app_id)
             undo.account(code.creator).min_extra -= self.schedule.app_create_entry(program)
 

@@ -42,6 +42,10 @@ class OnComplete(Enum):
     CLEAR_STATE = "ClearState"
 
 
+# the members as module globals, bound once: `OnComplete.X` is slow on 3.10 and 3.11
+OPT_IN, NO_OP, UPDATE_APPLICATION, DELETE_APPLICATION, CLOSE_OUT, CLEAR_STATE = OnComplete
+
+
 class Deny(Exception):
     """Raised by a stateful handler to reject the calling transaction."""
 

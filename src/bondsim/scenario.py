@@ -616,45 +616,41 @@ _VERBS = {
 # cost reporting
 
 
-def format_costs(runner: ScenarioRunner) -> str:
-    """Per-actor totals plus per-action rows, with one issuance table per bond."""
-    cost = runner.ledger.cost
-    lines: List[str] = []
-    names = {addr: name for name, addr in runner.accounts.items()}
+def _add_row(totals: dict, key, row) -> None:
+    amount, min_delta, fee = totals.get(key, (0, 0, 0))
+    totals[key] = (amount + row.amount, min_delta + row.min_delta, fee + row.fee)
 
-    lines.append("PER-ACTOR COSTS (microAlgos)")
-    lines.append(f"{'actor':<16}{'amount':>12}{'min_balance':>14}{'fee':>10}{'total':>12}")
+
+def format_costs(runner: ScenarioRunner) -> str:
+    """Per-actor totals plus per-action rows, with one issuance table per bond,
+    summed in one pass over the cost rows."""
+    names = {addr: name for name, addr in runner.accounts.items()}
+    issuance_labels = set(gb.ISSUANCE_ROW_ORDER)
+    actor_totals: dict = {}  # address -> (amount, min_delta, fee)
+    issuance_totals: dict = {}  # (deployment tag, label) -> the same
+    action_totals: dict = {}  # (actor name, label) -> the same
+    for row in runner.ledger.cost.rows:
+        _add_row(actor_totals, row.actor, row)
+        if row.label in issuance_labels:
+            _add_row(issuance_totals, (row.tag, row.label), row)
+        else:
+            _add_row(action_totals, (names.get(row.actor, row.actor), row.label), row)
+
+    lines = ["PER-ACTOR COSTS (microAlgos)", f"{'actor':<16}{'amount':>12}{'min_balance':>14}{'fee':>10}{'total':>12}"]
     for name, addr in runner.accounts.items():
-        rows = cost.rows_for(addr)
-        if not rows:
-            continue
-        amount = sum(r.amount for r in rows)
-        min_delta = sum(r.min_delta for r in rows)
-        fee = sum(r.fee for r in rows)
-        lines.append(f"{name:<16}{amount:>12}{min_delta:>14}{fee:>10}{amount + min_delta + fee:>12}")
+        if addr in actor_totals:
+            amount, min_delta, fee = actor_totals[addr]
+            lines.append(f"{name:<16}{amount:>12}{min_delta:>14}{fee:>10}{amount + min_delta + fee:>12}")
 
     for bond_name, dep in runner.bonds.items():
         lines.append("")
         lines.append(f"ISSUANCE COSTS: {bond_name}")
         lines.append(f"{'action':<42}{'amount':>10}{'min_balance':>13}{'fee':>9}{'total':>10}")
-        tagged = cost.rows_for(tag=dep.main_app_id)
         for label in gb.ISSUANCE_ROW_ORDER:
-            rows = [r for r in tagged if r.label == label]
-            if not rows:
-                continue
-            amount = sum(r.amount for r in rows)
-            min_delta = sum(r.min_delta for r in rows)
-            fee = sum(r.fee for r in rows)
-            lines.append(f"{label:<42}{amount:>10}{min_delta:>13}{fee:>9}{amount + min_delta + fee:>10}")
+            if (dep.main_app_id, label) in issuance_totals:
+                amount, min_delta, fee = issuance_totals[dep.main_app_id, label]
+                lines.append(f"{label:<42}{amount:>10}{min_delta:>13}{fee:>9}{amount + min_delta + fee:>10}")
 
-    action_totals: dict = {}
-    issuance_labels = set(gb.ISSUANCE_ROW_ORDER)
-    for row in cost.rows:
-        if row.label in issuance_labels:
-            continue
-        key = (names.get(row.actor, row.actor), row.label)
-        amount, min_delta, fee = action_totals.get(key, (0, 0, 0))
-        action_totals[key] = (amount + row.amount, min_delta + row.min_delta, fee + row.fee)
     if action_totals:
         lines.append("")
         lines.append("ACTION COSTS")

@@ -227,8 +227,9 @@ class CloneLedger(Ledger):
         # adopt the copy inside the same state object, which the cost ledger reads
         self._state.accounts = working.accounts
         self._state.apps = working.apps
-        self._state.fees_paid = working.fees_paid
         self._record(group)
+        # the reference's own fee totals, in place of those `_record` adds at commit
+        self._state.fees_paid = working.fees_paid
         return SubmitResult(True)
 
     def _ref_apply_txn(self, st, group, idx, touched):

@@ -1,0 +1,77 @@
+"""Python-level calls per action, counted with `sys.setprofile` on a small
+fixed lifecycle after every builder and check has been compiled.  A count
+repeats exactly from run to run, so a regression in the fixed cost of an
+action shows here without timing noise.  Each count is pinned at most at
+the value measured when this test was written (the same on 3.10 to 3.13)."""
+import sys
+
+import pytest
+
+from bondsim import greenbond as gb
+
+from conftest import BondEnv
+
+UNIT = gb.UNIT
+MOST_CALLS = {
+    "registration": 49,
+    "buy": 59,
+    "trade": 79,
+    "coupon": 93,
+    "first coupon of a round": 98,
+    "principal": 101,
+}
+
+
+def counted(counts: dict, action: str, submit, *args) -> None:
+    """Submit one action, counting the Python functions it calls."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = submit(*args)
+    finally:
+        sys.setprofile(None)
+    assert result.approved, result.reason()
+    counts[action] = calls
+
+
+@pytest.fixture(scope="module")
+def counts():
+    """Every action counted once on a two-round bond; the first investor of
+    each kind warms the compiled builders and checks."""
+    env, counts = BondEnv(), {}
+    dep = env.deploy(coupon_rounds=2, start_buy=100, end_buy=200, maturity=400)
+    led = env.ledger
+    a, b, c = env.investor("a"), env.investor("b"), env.investor("c")
+    late = env.new_account("late", stablecoin=10**12)
+    led.advance_time(100)
+    assert gb.submit_buy(led, dep, a, 10 * UNIT).approved
+    counted(counts, "buy", gb.submit_buy, led, dep, b, 10 * UNIT)
+    assert gb.submit_buy(led, dep, c, 10 * UNIT).approved
+    counted(counts, "registration", gb.register_investor, led, dep, late)
+    assert gb.submit_set_trade(led, dep, a, 10 * UNIT).approved
+    offer = gb.make_trade_offer(dep, a, 90 * UNIT, 300)
+    assert gb.submit_trade(led, dep, offer, b, UNIT).approved
+    counted(counts, "trade", gb.submit_trade, led, dep, offer, b, UNIT)
+    assert gb.submit_fund_escrow(led, dep, env.issuer, 10**11).approved
+    led.advance_time(300)
+    assert gb.submit_coupon(led, dep, a).approved
+    counted(counts, "coupon", gb.submit_coupon, led, dep, b)
+    assert gb.submit_coupon(led, dep, c).approved
+    led.advance_time(400)
+    counted(counts, "first coupon of a round", gb.submit_coupon, led, dep, a)
+    for investor in (b, c):
+        assert gb.submit_coupon(led, dep, investor).approved
+    assert gb.submit_principal(led, dep, a).approved
+    counted(counts, "principal", gb.submit_principal, led, dep, b)
+    return counts
+
+
+@pytest.mark.parametrize("action", MOST_CALLS)
+def test_action_makes_no_more_python_calls_than_pinned(counts, action):
+    assert counts[action] <= MOST_CALLS[action]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bondsim import greenbond as gb
-from bondsim.ledger import AppCall, AssetTransfer
+from bondsim.ledger import AppCall, AssetTransfer, Payment
 from bondsim.programs import OnComplete
 
 UNIT = gb.UNIT
@@ -80,6 +81,29 @@ def test_rating_slot_at():
     assert gb.rating_slot_at(p, 25) == 3
     assert gb.rating_slot_at(p, 99) == 10
     assert gb.rating_slot_at(p, 100) is None  # past the last period
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rounds=st.integers(min_value=0, max_value=40),
+    end_buy=st.integers(min_value=-10**6, max_value=10**6),
+    length=st.integers(min_value=1, max_value=10**7),
+    base=st.integers(min_value=0, max_value=10**12),
+    total_bonds=st.integers(min_value=1, max_value=10**9),
+)
+def test_cached_schedule_matches_closed_forms(rounds, end_buy, length, base, total_bonds):
+    p = dataclasses.replace(
+        params_stub(rounds, end_buy=end_buy, maturity=end_buy + length), coupon_base=base, total_bonds=total_bonds
+    )
+    assert p.coupon_period == (0 if rounds == 0 else length // rounds)
+    assert p.supply_base_units == total_bonds * UNIT
+    for rating in range(1, 6):
+        exact = Fraction(base) * Fraction(11, 10) ** (5 - rating)
+        assert p.coupons[rating] == exact.numerator // exact.denominator
+    assert p.coupons[0] == p.coupons[5] == base  # an unrated round pays the top rating's coupon
+    assert p.coupons is p.coupons and len(p.coupons) == 6
+    # the cached values are no fields: equality, hashing and replace ignore them
+    assert p == dataclasses.replace(p) and hash(p) == hash(dataclasses.replace(p))
 
 
 def test_rating_slot_count():
@@ -387,6 +411,29 @@ def test_trade_buyer_fee(env):
     fees_before = led.fees_paid(buyer_a)
     assert gb.submit_trade(led, dep, offer, buyer_a, UNIT).approved
     assert led.fees_paid(buyer_a) - fees_before == 1_000
+
+
+@pytest.mark.parametrize("self_trade", [False, True], ids=["trade", "self_trade"])
+def test_trade_rows_count_each_leg_once(env, self_trade):
+    """A trade's two rows sum to exactly the fees and escrow refunds its
+    payers paid, also when the seller takes its own offer."""
+    dep, seller, buyer_a, _ = trade_env(env)
+    led = env.ledger
+    buyer = seller if self_trade else buyer_a
+    assert gb.submit_set_trade(led, dep, seller, UNIT).approved
+    offer = gb.make_trade_offer(dep, seller, 1_000 * USD, expiry=10_000)
+    payers = {seller, buyer}
+    fees_before = {payer: led.fees_paid(payer) for payer in payers}
+    group = gb.build_trade_group(dep, offer, buyer, UNIT)
+    first_row = len(led.cost.rows)
+    assert gb.submit_trade(led, dep, offer, buyer, UNIT).approved
+    rows = led.cost.rows[first_row:]
+    assert [(row.actor, row.label) for row in rows] == [(seller, "Trade Sell"), (buyer, "Trade Buy")]
+    escrows = (dep.bond_escrow, dep.stablecoin_escrow)
+    refunds = sum(t.amount for t in group.txns if isinstance(t, Payment) and t.sender in payers and t.receiver in escrows)
+    assert sum(row.fee for row in rows) == sum(led.fees_paid(payer) - fees_before[payer] for payer in payers)
+    assert sum(row.amount for row in rows) == refunds == 1_000
+    assert sum(row.total for row in rows) == 4_000  # three fees and one refund
 
 
 def test_trade_replay_property(env):
