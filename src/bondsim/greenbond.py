@@ -28,11 +28,13 @@ its builder, the apps' checks and the trade-offer predicate all read it.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple
 
+from . import reports
 from .ledger import (
     Address,
     AppCall,
@@ -177,6 +179,10 @@ class BondParams:
 
 @dataclass(frozen=True)
 class BondDeployment:
+    """One issuance's apps, escrows and parameters.  What they fix is built
+    once per deployment and kept on it: the reference tuples of its protocol
+    calls, and each actor's fixed legs (see "group shapes")."""
+
     bond_asset_id: int
     main_app_id: int
     manage_app_id: int
@@ -195,6 +201,11 @@ class BondDeployment:
     @cached_property
     def _calls_main(self) -> tuple:
         return (self.stablecoin_escrow, self.bond_escrow), (self.main_app_id,)
+
+    # a builder's fixed legs: leg source -> {actor's address: the leg}
+    @cached_property
+    def _fixed_legs(self) -> defaultdict:
+        return defaultdict(dict)
 
 
 @dataclass(frozen=True)
@@ -265,6 +276,10 @@ def format_usd(base_units: int) -> str:
 # `$name` an operand of the deployment, the bond or the action.  Like a
 # dataclass's `__init__`, each builder and check is compiled (once, on its
 # first call) into a plain function: a handler pays for its comparisons.
+# A fixed leg, whose every value comes from the deployment and the actor, is
+# built on the actor's first use and then looked up in the deployment's
+# `_fixed_legs`: a coupon claim makes only its payout and its group, and legs
+# of the same source (the `not_defaulted` call, the refunds) are one object.
 
 
 class _Pin(NamedTuple):
@@ -306,14 +321,14 @@ def _action(action: bytes, *values: str) -> _Pin:
 # call's context `ctx` and the bond's `params`.  Any other operand is the
 # action's own, passed by keyword.
 _SIDES = ("dep", "main", "manage")
-_PEER = f"ctx.config({CFG_PEER_APP!r})"
+_PEER = f"ctx.app_config.get({CFG_PEER_APP!r})"
 _SOURCES = {
     "actor": ("actor", "ctx.sender", "ctx.sender"),
     "main_app": ("dep.main_app_id", "ctx.app_id", _PEER),
     "manage_app": ("dep.manage_app_id", _PEER, "ctx.app_id"),
-    "bond_asset": ("dep.bond_asset_id", *[f"ctx.config({CFG_BOND_ASSET!r})"] * 2),
-    "bond_escrow": ("dep.bond_escrow", *[f"ctx.config({CFG_BOND_ESCROW!r})"] * 2),
-    "stablecoin_escrow": ("dep.stablecoin_escrow", *[f"ctx.config({CFG_STABLECOIN_ESCROW!r})"] * 2),
+    "bond_asset": ("dep.bond_asset_id", *[f"ctx.app_config.get({CFG_BOND_ASSET!r})"] * 2),
+    "bond_escrow": ("dep.bond_escrow", *[f"ctx.app_config.get({CFG_BOND_ESCROW!r})"] * 2),
+    "stablecoin_escrow": ("dep.stablecoin_escrow", *[f"ctx.app_config.get({CFG_STABLECOIN_ESCROW!r})"] * 2),
     "stablecoin": ("dep.params.stablecoin_id", *["params.stablecoin_id"] * 2),
     "issuer": ("dep.params.issuer", *["params.issuer"] * 2),
     "bond_cost": ("dep.params.bond_cost", *["params.bond_cost"] * 2),
@@ -381,7 +396,9 @@ class _Shape:
 
     def _render(self, source: Callable) -> list:
         """Each leg as one positional call, in its class's field order up to the
-        last field it sets, bound to `t<index>` for the later legs that read it."""
+        last field it sets, bound to `t<index>` for the later legs that read it.
+        A fixed leg reads its operands off `dep` when the actor first needs it,
+        and its source text is its key in `dep._fixed_legs`."""
         legs = []
         for leg in self.legs:
             given = {**{field: pin.value for field, pin in leg.pins.items()}, **leg.extra}
@@ -391,8 +408,15 @@ class _Shape:
             values = [given.get(f.name, default) for f, default in zip(kind, defaults)]
             while values[-1] == defaults[len(values) - 1]:
                 values.pop()
-            legs.append(f"(t{len(legs)} := {leg.kind.__name__}({', '.join(map(source, values))}))")
-        return [_EARLIER.sub(r"t\1", f"return TransactionGroup(({', '.join(legs)},))")]
+            call = f"{leg.kind.__name__}({', '.join(values)})"
+            if _EARLIER.search(call) or not set(_OPERAND.findall(call)) <= _SOURCES.keys():
+                call = source(call)
+            else:
+                call = _OPERAND.sub(lambda match: _SOURCES[match.group(1)][0], call)
+                call = f"(legs := fixed[{call!r}]).get(actor) or legs.setdefault(actor, {call})"
+            legs.append(f"(t{len(legs)} := {call})")
+        group = _EARLIER.sub(r"t\1", f"return TransactionGroup(({', '.join(legs)},))")
+        return ["fixed = dep._fixed_legs", group] if "fixed[" in group else [group]
 
 
 class _Check:
@@ -635,7 +659,7 @@ def _rating_key(slot: int) -> bytes:
 
 def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
-    bond_asset = ctx.config(CFG_BOND_ASSET)
+    bond_asset = ctx.app_config.get(CFG_BOND_ASSET)
     holdings = ctx.asset_balance(ctx.sender, bond_asset)
     if holdings <= 0:
         ctx.deny("no_bonds")
@@ -644,7 +668,7 @@ def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     if paid >= claimable:
         ctx.deny("nothing_claimable", coupons_paid=paid, claimable=claimable)
     round_no = paid + 1
-    rating = _slot_rating(ctx.global_value(_rating_key(round_no), app_id=ctx.config(CFG_PEER_APP)), round_no)
+    rating = _slot_rating(ctx.global_value(_rating_key(round_no), app_id=ctx.app_config.get(CFG_PEER_APP)), round_no)
     per_bond = params.coupons[rating]
     expected = holdings * per_bond // UNIT
     _COUPON_CHECK.require(ctx, params, payout=expected)
@@ -654,7 +678,7 @@ def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     if round_no > ctx.global_uint(KEY_COUPONS_PAID):
         # first claim of this round: reserve the full obligation for every
         # circulating bond, then let each claim (this one included) work it off
-        circulation = params.supply_base_units - ctx.asset_balance(ctx.config(CFG_BOND_ESCROW), bond_asset)
+        circulation = params.supply_base_units - ctx.asset_balance(ctx.app_config.get(CFG_BOND_ESCROW), bond_asset)
         ctx.global_put(KEY_COUPONS_PAID, round_no)
         reserve += per_bond * circulation // UNIT
     ctx.global_put(KEY_RESERVE, reserve - expected)
@@ -664,7 +688,7 @@ def _main_sell(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
     if ctx.now < params.maturity:
         ctx.deny("before_maturity")
-    holdings = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET))
+    holdings = ctx.asset_balance(ctx.sender, ctx.app_config.get(CFG_BOND_ASSET))
     if holdings <= 0:
         ctx.deny("no_bonds")
     paid = ctx.local_uint(ctx.sender, KEY_COUPONS_PAID)
@@ -675,7 +699,7 @@ def _main_sell(ctx: CallContext, params: BondParams) -> None:
 
 def _main_default(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
-    holdings = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET))
+    holdings = ctx.asset_balance(ctx.sender, ctx.app_config.get(CFG_BOND_ASSET))
     if holdings <= 0:
         ctx.deny("no_bonds")
     # recovery is only open to holders who already collected every unlocked
@@ -752,11 +776,12 @@ def _manage_rate(ctx: CallContext, params: BondParams) -> None:
 
 
 def _escrow_funds(ctx: CallContext, params: BondParams) -> int:
-    return ctx.asset_balance(ctx.config(CFG_STABLECOIN_ESCROW), params.stablecoin_id)
+    return ctx.asset_balance(ctx.app_config.get(CFG_STABLECOIN_ESCROW), params.stablecoin_id)
 
 
 def _circulation(ctx: CallContext, params: BondParams) -> int:
-    return params.supply_base_units - ctx.asset_balance(ctx.config(CFG_BOND_ESCROW), ctx.config(CFG_BOND_ASSET))
+    config = ctx.app_config
+    return params.supply_base_units - ctx.asset_balance(config.get(CFG_BOND_ESCROW), config.get(CFG_BOND_ASSET))
 
 
 def _next_obligation(ctx: CallContext, params: BondParams, main_app: int, circulation: int) -> int:
@@ -774,7 +799,7 @@ def _manage_not_defaulted(ctx: CallContext, params: BondParams) -> None:
     selling = getattr(txns[0], "args", ())[:1] == (ACT_SELL,)
     (_SELL_HEAD if selling else _COUPON_HEAD).require(ctx, params)
     funds = _escrow_funds(ctx, params)
-    reserve = ctx.global_uint(KEY_RESERVE, app_id=ctx.config(CFG_PEER_APP))
+    reserve = ctx.global_uint(KEY_RESERVE, app_id=ctx.app_config.get(CFG_PEER_APP))
     if selling:
         # principal redemption: every circulating bond must be redeemable on
         # top of the coupon reserve still owed to slower claimants
@@ -789,20 +814,20 @@ def _manage_not_defaulted(ctx: CallContext, params: BondParams) -> None:
 
 def _manage_claim_default(ctx: CallContext, params: BondParams) -> None:
     _CLAIM_DEFAULT_HEAD.require(ctx, params)
-    main_app = ctx.config(CFG_PEER_APP)
+    main_app = ctx.app_config.get(CFG_PEER_APP)
     funds = _escrow_funds(ctx, params)
     reserve = ctx.global_uint(KEY_RESERVE, app_id=main_app)
     circulation = _circulation(ctx, params)
     ctx.require(circulation > 0, "bad_group")
     if funds >= reserve + _next_obligation(ctx, params, main_app, circulation):
         ctx.deny("not_in_default", available=funds)
-    holdings = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET))
+    holdings = ctx.asset_balance(ctx.sender, ctx.app_config.get(CFG_BOND_ASSET))
     payout = (funds - reserve) * holdings // circulation
     _CLAIM_DEFAULT_PAYOUT.require(ctx, params, "bad_payout", payout=payout)
 
 
 def _manage_defaulted(ctx: CallContext, params: BondParams) -> None:
-    main_app = ctx.config(CFG_PEER_APP)
+    main_app = ctx.app_config.get(CFG_PEER_APP)
     circulation = _circulation(ctx, params)
     if circulation == 0:
         ctx.deny("not_in_default", available=_escrow_funds(ctx, params))
@@ -1038,11 +1063,13 @@ def build_coupon_group(ledger: Ledger, dep: BondDeployment, investor: Address) -
     """Coupon claim for the investor's next round, priced off the round's
     rating as currently recorded (unrated rounds pay the top-rating coupon)."""
     p = dep.params
-    holdings = ledger.asset_balance(investor, dep.bond_asset_id)
-    paid = ledger.app_local(investor, dep.main_app_id, KEY_COUPONS_PAID) or 0
+    acc = ledger._account(investor)  # the holding and the coupon counter, in one lookup
+    local = acc.local.get(dep.main_app_id)
+    paid = (local and local.get(KEY_COUPONS_PAID)) or 0
     round_no = min(paid + 1, max(p.coupon_rounds, 1))
-    rating = get_rating(ledger, dep, round_no) if round_no <= p.coupon_rounds else 0
-    return _COUPON.build(dep, investor, payout=holdings * p.coupons[rating] // UNIT)
+    raw = ledger.app_global(dep.manage_app_id, _rating_key(round_no)) if round_no <= p.coupon_rounds else None
+    rating = _slot_rating(raw, round_no)
+    return _COUPON.build(dep, investor, payout=acc.holdings.get(dep.bond_asset_id, 0) * p.coupons[rating] // UNIT)
 
 
 def build_principal_group(ledger: Ledger, dep: BondDeployment, investor: Address) -> TransactionGroup:
@@ -1176,9 +1203,7 @@ def submit_rate(ledger: Ledger, dep: BondDeployment, verifier: Address, rating: 
 
 
 def submit_report_anchor(ledger: Ledger, dep: BondDeployment, sender: Address, cid: str) -> SubmitResult:
-    from .reports import anchor_report
-
-    result = anchor_report(ledger, sender, dep.manage_app_id, cid)
+    result = reports.anchor_report(ledger, sender, dep.manage_app_id, cid)
     if result.approved:
         ledger.cost.record(sender, ROW_UPLOAD_REPORT, fee=FLAT_FEE, tag=dep.main_app_id)
     return result

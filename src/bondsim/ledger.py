@@ -807,14 +807,18 @@ class Ledger:
         acc.min_extra -= self.schedule.app_opt_in_entry(code.program)
 
     def _check_min_balances(self, undo: _Undo) -> None:
-        saved = undo.accounts
-        for addr in sorted(saved):
-            acc = saved[addr][0]
-            if acc.balance == 0 and acc.min_extra == 0:
-                continue  # dormant or pure-asset account
+        """Every account the group saved must keep its minimum balance, but for
+        a dormant or pure-asset one (no balance, no minimum).  One pass, no
+        sort: a rejection names the smallest failing address."""
+        failing = None
+        for addr, (acc, _, _) in undo.accounts.items():
+            if acc.balance < BASE_MIN_BALANCE + acc.min_extra and (acc.balance or acc.min_extra):
+                if failing is None or addr < failing:
+                    failing = addr
+        if failing is not None:
+            acc = undo.accounts[failing][0]
             required = BASE_MIN_BALANCE + acc.min_extra
-            if acc.balance < required:
-                raise _Reject("min_balance_violation", address=addr, required=required, available=acc.balance)
+            raise _Reject("min_balance_violation", address=failing, required=required, available=acc.balance)
 
     # -- introspection ---------------------------------------------------------
 

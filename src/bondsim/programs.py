@@ -153,11 +153,12 @@ class CallContext:
     Account and application references are enforced: a handler can only read
     balances/local state of its caller and the accounts listed on the
     transaction, and only read global state of its own app and the apps
-    listed on the transaction.
+    listed on the transaction.  `app_config` is the app's live configuration
+    dict, to read; `config_put` writes it.
     """
 
     __slots__ = ("app_id", "creator", "sender", "on_complete", "args", "accounts", "apps", "group", "txn_index",
-                 "now", "bad_write", "_code", "_undo", "_accounts", "_app")
+                 "now", "bad_write", "app_config", "_code", "_undo", "_accounts", "_app")
 
     def __init__(
         self, txn: "AppCall", code: "_AppCode", group: "TransactionGroup", txn_index: int, now: int, undo: "_Undo"
@@ -177,6 +178,7 @@ class CallContext:
         self._undo = undo
         self._accounts = undo.state.accounts
         self._app = undo.state.apps[txn.app_id]  # this app's live state
+        self.app_config = self._app.config
 
     # -- control flow -----------------------------------------------------
 
@@ -200,12 +202,6 @@ class CallContext:
             return int(raw.decode("ascii"))
         except (UnicodeDecodeError, ValueError):
             self.deny("bad_arg", index=index)
-
-    # -- reference checks --------------------------------------------------
-
-    def _check_account_ref(self, addr: str) -> None:
-        if addr != self.sender and addr not in self.accounts:
-            self.deny("account_not_referenced", account=addr)
 
     # -- global state --------------------------------------------------------
 
@@ -233,25 +229,29 @@ class CallContext:
     # -- local state ---------------------------------------------------------
 
     def is_opted_in(self, addr: str) -> bool:
-        self._check_account_ref(addr)
+        if addr != self.sender and addr not in self.accounts:
+            self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         return acc is not None and self.app_id in acc.local
 
     def local_value(self, addr: str, key: bytes):
-        self._check_account_ref(addr)
+        if addr != self.sender and addr not in self.accounts:
+            self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         local = None if acc is None else acc.local.get(self.app_id)
         return None if local is None else local.get(key)
 
     def local_uint(self, addr: str, key: bytes) -> int:
-        self._check_account_ref(addr)
+        if addr != self.sender and addr not in self.accounts:
+            self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         local = None if acc is None else acc.local.get(self.app_id)
         value = None if local is None else local.get(key)
         return value if isinstance(value, int) else 0
 
     def local_put(self, addr: str, key: bytes, value: StateValue) -> None:
-        self._check_account_ref(addr)
+        if addr != self.sender and addr not in self.accounts:
+            self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         if acc is None or self.app_id not in acc.local:
             if self.bad_write is None:
@@ -282,6 +282,7 @@ class CallContext:
     # -- balances --------------------------------------------------------------
 
     def asset_balance(self, addr: str, asset_id: int) -> int:
-        self._check_account_ref(addr)
+        if addr != self.sender and addr not in self.accounts:
+            self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         return 0 if acc is None else acc.holdings.get(asset_id, 0)

@@ -217,6 +217,21 @@ def test_min_balance_enforced_after_group(ledger):
     assert ledger.algo_balance(a) == BASE_MIN_BALANCE
 
 
+@pytest.mark.parametrize("order", [("zed", "amy", "kim"), ("kim", "amy", "zed"), ("amy", "zed", "kim")])
+def test_min_balance_violation_names_the_smallest_failing_address(ledger, order):
+    """The accounts a group wrote are checked in the order it saved them, but
+    the rejection names the smallest failing address, whatever that order."""
+    for label in order:
+        funded(ledger, 200_000, label)
+    sink = funded(ledger, label="sink")
+    # kim stays at its minimum; amy and zed drop below theirs
+    spend = {"amy": 150_000, "zed": 150_000, "kim": 99_000}
+    result = ledger.submit_group([Payment(sender=a, receiver=sink, amount=spend[a]) for a in order])
+    assert result.rejected and result.rejection.code == "min_balance_violation"
+    assert result.rejection.detail == {"address": "amy", "required": BASE_MIN_BALANCE, "available": 49_000}
+    assert [ledger.algo_balance(a) for a in order] == [200_000] * 3
+
+
 def test_clock_window(ledger):
     a = funded(ledger)
     ledger.advance_time(100)
