@@ -39,7 +39,7 @@ def _replay(path: str):
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    runner = ScenarioRunner()
+    runner = ScenarioRunner(Path(path).parent)
     return runner, runner.run(steps)
 
 

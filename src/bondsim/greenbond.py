@@ -12,10 +12,11 @@ escrows:
   the stablecoin escrow unable to cover the reserve plus the next
   obligation is refused;
 * the bond escrow is the clawback authority for the bond asset, so every
-  bond movement is a clawback it signs, and its logic demands a grouped
-  main-app call plus a fee reimbursement;
-* the stablecoin escrow pays coupons, principal and default recoveries,
-  and its logic demands a grouped manage-app call plus a reimbursement.
+  bond movement is a clawback it signs;
+* the stablecoin escrow pays coupons, principal and default recoveries.
+Each escrow signs a leg only where an action's group shape has it sign that
+leg: under a NoOp main-app head naming the action, in a group of the shape's
+size, so that the action's checks, run from the head, hold every other pin.
 
 The bond asset is minted frozen, so holders can never move it directly;
 0 means "frozen/blocked" for both the global and per-account approval
@@ -373,10 +374,11 @@ def _compile(owner, name: str, arguments: str, side: str, render: Callable) -> N
 
 
 class _Leg:
-    """One transaction of a shape: kind, pins, and fields only the builder writes."""
+    """One transaction of a shape: kind, pins, fields only the builder writes,
+    and, for a call of the main app, its action."""
 
-    def __init__(self, kind: type, build: Optional[dict] = None, **pins):
-        self.kind, self.extra = kind, build or {}
+    def __init__(self, kind: type, build: Optional[dict] = None, action: Optional[bytes] = None, **pins):
+        self.kind, self.extra, self.action = kind, build or {}, action
         self.pins = {field: _pin(operand) for field, operand in pins.items()}
 
 
@@ -455,10 +457,10 @@ class _Check:
 
 
 def _main_call(action: bytes, *values: str, build: Optional[dict] = None) -> _Leg:
-    """A call of the main app that stays in it: the manage app and a trade
-    offer rely on the main app's checks, which an opt-in or close-out skips."""
+    """A call of the main app that stays in it: the manage app, trade offers
+    and escrows rely on its checks, which an opt-in or close-out skips."""
     args = _action(action, *values)
-    return _Leg(AppCall, build, sender="$actor", app_id="$main_app", on_complete="NO_OP", args=args)
+    return _Leg(AppCall, build, action, sender="$actor", app_id="$main_app", on_complete="NO_OP", args=args)
 
 
 def _refund(escrow: str, leg: int, build: Optional[dict] = None) -> _Leg:
@@ -533,6 +535,19 @@ _COUPON = _Shape(
 _PRINCIPAL = _surrender(ACT_SELL, ACT_NOT_DEFAULTED, "Claim Principal", "txns[2].amount * $principal // UNIT")
 _DEFAULT = _surrender(ACT_DEFAULT, ACT_CLAIM_DEFAULT, "Claim Default", "$payout")
 
+
+# the legs each escrow, by its signature, signs after a main-app head:
+# (the head's arguments up to the action, leg index) -> the shape's size
+_SIGNED = {
+    sig: {
+        ((shape.legs[0].action,), i): len(shape.legs)
+        for shape in (_FREEZE_ALL, _FREEZE, _SET_TRADE, _BUY, _TRADE, _COUPON, _PRINCIPAL, _DEFAULT)
+        for i, leg in enumerate(shape.legs)
+        if leg.extra.get("signature") == sig
+    }
+    for sig in (_BY_BOND_ESCROW["signature"], _BY_STABLECOIN_ESCROW["signature"])
+}
+
 _BUY_CHECK = _Check(_BUY)
 _TRADE_CHECK = _Check(_TRADE, {1: None, 2: None})  # the buyer's payment is the offer's to check
 # the offer signs the seller's refund, so it must be the fee exactly: with
@@ -573,19 +588,16 @@ def _handle_reconfigure(ctx: CallContext) -> None:
     if ctx.on_complete is DELETE_APPLICATION:
         return
     ctx.require(len(ctx.args) >= 1 and ctx.arg(0) == b"configure", "bad_args")
-    i = 1
-    while i < len(ctx.args):
-        token = ctx.args[i]
+    args = iter(ctx.args[1:])
+    for token in args:
         if token == b"finalize":
             ctx.finalize()
-            i += 1
             continue
-        if i + 1 >= len(ctx.args):
+        raw = next(args, None)
+        if raw is None:
             ctx.deny("bad_args")
-        key = token.decode("ascii")
-        raw = ctx.args[i + 1].decode("ascii")
+        key, raw = token.decode("ascii"), raw.decode("ascii")
         ctx.config_put(key, int(raw) if key in _INT_CONFIG_KEYS else raw)
-        i += 2
 
 
 def _require_active(ctx: CallContext, params: BondParams, *addrs: Address) -> None:
@@ -862,35 +874,35 @@ def build_manage_program(params: BondParams) -> StatefulProgram:
 # contract-account escrows
 
 
-def build_stablecoin_escrow_program(main_app_id: int, manage_app_id: int) -> StatelessProgram:
+def _escrow_program(name: str, params: tuple, signed: dict, issuance: Optional[Callable] = None) -> StatelessProgram:
+    """An escrow of the main app `params[0]`, signing the legs `signed` gives
+    it (see the module docstring) and, after any other head, the `issuance`."""
+    main_app_id = params[0]
+
     def predicate(group, idx, now) -> bool:
         txns = group.txns
-        txn = txns[idx]
-        if not isinstance(txn, AssetTransfer) or txn.revoke_target is not None:
-            return False
-        # outflows need a grouped manage-app check and a fee reimbursement
-        checked = reimbursed = False
-        for t in txns:
-            if isinstance(t, AppCall):
-                if t.app_id == manage_app_id and t.args[:1] in ((ACT_NOT_DEFAULTED,), (ACT_CLAIM_DEFAULT,)):
-                    checked = True
-            elif isinstance(t, Payment) and t.receiver == txn.sender and t.amount >= txn.fee:
-                reimbursed = True
-        return checked and reimbursed
+        head = txns[0]
+        if isinstance(head, AppCall):
+            return head.app_id == main_app_id and head.on_complete is NO_OP and signed.get((head.args[:1], idx)) == len(txns)
+        return issuance is not None and issuance(txns)
 
-    return StatelessProgram("stablecoin-escrow", (main_app_id, manage_app_id), predicate)
+    return StatelessProgram(name, params, predicate)
 
 
-def build_bond_escrow_program(main_app_id: int, sibling_escrow: Address) -> StatelessProgram:
-    def _is_setup(txns) -> bool:
-        # one-time issuance shape: pull the minted supply into this escrow and
-        # seed the sibling escrow's minimum balance
-        if len(txns) != 2:
-            return False
-        pull, seed = txns
+def build_stablecoin_escrow_program(main_app_id: int) -> StatelessProgram:
+    return _escrow_program("stablecoin-escrow", (main_app_id,), _SIGNED[_BY_STABLECOIN_ESCROW["signature"]])
+
+
+def build_bond_escrow_program(main_app_id: int, sibling_escrow: Address, operator: Address, supply: int) -> StatelessProgram:
+    def issuance(txns) -> bool:
+        # `_SETUP`: pull exactly the supply from the operator, who holds all of
+        # it at issuance, and seed the sibling escrow's minimum balance
+        pull, seed = txns[0], txns[-1]
         return (
-            isinstance(pull, AssetTransfer)
-            and pull.revoke_target is not None
+            len(txns) == 2
+            and isinstance(pull, AssetTransfer)
+            and pull.revoke_target == operator
+            and pull.amount == supply
             and pull.receiver == pull.sender
             and isinstance(seed, Payment)
             and seed.sender == pull.sender
@@ -898,21 +910,8 @@ def build_bond_escrow_program(main_app_id: int, sibling_escrow: Address) -> Stat
             and seed.amount == ESCROW_SEED
         )
 
-    def predicate(group, idx, now) -> bool:
-        txns = group.txns
-        txn = txns[idx]
-        if _is_setup(txns) and idx in (0, 1):
-            return True
-        if isinstance(txn, AssetTransfer) and txn.revoke_target is not None:
-            head = txns[0]
-            if not (isinstance(head, AppCall) and head.app_id == main_app_id):
-                return False
-            for t in txns:
-                if isinstance(t, Payment) and t.receiver == txn.sender and t.amount >= txn.fee:
-                    return True
-        return False
-
-    return StatelessProgram("bond-escrow", (main_app_id, sibling_escrow), predicate)
+    params = (main_app_id, sibling_escrow, operator, supply)
+    return _escrow_program("bond-escrow", params, _SIGNED[_BY_BOND_ESCROW["signature"]], issuance)
 
 
 # ---------------------------------------------------------------------------
@@ -953,9 +952,9 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     manage_id = ledger.register_app(build_manage_program(params), operator)
     ledger.cost.record(operator, ROW_DEPLOY_MANAGE, min_delta=manage_min, fee=FLAT_FEE, tag=main_id)
 
-    sc_program = build_stablecoin_escrow_program(main_id, manage_id)
+    sc_program = build_stablecoin_escrow_program(main_id)
     sc_escrow = ledger.register_contract_account(sc_program)
-    bond_program = build_bond_escrow_program(main_id, sc_escrow)
+    bond_program = build_bond_escrow_program(main_id, sc_escrow, operator, params.supply_base_units)
     bond_escrow = ledger.register_contract_account(bond_program)
 
     asset_id = ledger.create_asset(

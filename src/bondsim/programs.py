@@ -31,6 +31,8 @@ StateValue = Union[int, bytes]
 
 MAX_GLOBAL_KEYS = 64
 MAX_LOCAL_KEYS = 16
+MAX_UINT = 2**64 - 1  # a uint in app state is a uint64
+UINT_OUT_OF_RANGE = "uint_out_of_range"
 
 
 class OnComplete(Enum):
@@ -148,8 +150,10 @@ class CallContext:
     undoes it.  A write the app may not make is noted as `bad_write`, the
     rejection (code, detail) it earns, not raised: a global schema overflow,
     or else the first bad local write (a local overflow, or an account unknown
-    or not opted in, which is left unwritten).  The ledger rejects the call
-    with it once the handler returns, after any denial.
+    or not opted in, which is left unwritten), or else the first uint written
+    outside [0, 2**64) (`uint_out_of_range`, which fails a uint64 program).
+    The ledger rejects the call with it once the handler returns, after any
+    denial.
     Account and application references are enforced: a handler can only read
     balances/local state of its caller and the accounts listed on the
     transaction, and only read global state of its own app and the apps
@@ -225,6 +229,8 @@ class CallContext:
         self._undo.put(state, key, value)
         if len(state) > self._code.global_cap:
             self.bad_write = ("app_rejected", {"app": self.app_id, "code": "global_schema_exceeded"})
+        elif isinstance(value, int) and not 0 <= value <= MAX_UINT and self.bad_write is None:
+            self.bad_write = ("app_rejected", {"app": self.app_id, "code": UINT_OUT_OF_RANGE, "key": key})
 
     # -- local state ---------------------------------------------------------
 
@@ -254,14 +260,22 @@ class CallContext:
             self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         if acc is None or self.app_id not in acc.local:
-            if self.bad_write is None:
+            if self._first_bad_local():
                 not_opted_in = ("app_rejected", {"app": self.app_id, "code": "not_opted_in", "account": addr})
                 self.bad_write = ("unknown_address", {"address": addr}) if acc is None else not_opted_in
             return
         local = self._undo.account(addr).local[self.app_id]
         self._undo.put(local, key, value)
-        if len(local) > self._code.local_cap and self.bad_write is None:
-            self.bad_write = ("app_rejected", {"app": self.app_id, "code": "local_schema_exceeded"})
+        if len(local) > self._code.local_cap:
+            if self._first_bad_local():
+                self.bad_write = ("app_rejected", {"app": self.app_id, "code": "local_schema_exceeded"})
+        elif isinstance(value, int) and not 0 <= value <= MAX_UINT and self.bad_write is None:
+            detail = {"app": self.app_id, "code": UINT_OUT_OF_RANGE, "account": addr, "key": key}
+            self.bad_write = ("app_rejected", detail)
+
+    def _first_bad_local(self) -> bool:
+        """No bad write is noted yet that comes before a bad local one."""
+        return self.bad_write is None or self.bad_write[1].get("code") == UINT_OUT_OF_RANGE
 
     # -- app configuration (set at deployment, then frozen) -------------------
 

@@ -20,6 +20,11 @@ a failing `assert` stops the run with exit code 1, and so does a failure of
 the environment (an unreadable report file, an empty faucet, a bond whose
 `issue` step was rejected), as `REJECTED(<code>: <detail>)`.
 
+A `report-put NAME file=PATH` reads a file in the script's directory, which
+the runner is given: PATH is relative to it, an absolute path or a `..`
+component is a parse error, and a path that a symlink leads out of the
+directory is unreadable, as is any file when the runner has no directory.
+
 An `offer` step's terms are bound to every `trade` step that names the
 offer; its delegated signature is built when such a trade runs, so offers
 that are never traded cost no more than their parse.
@@ -30,6 +35,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, DecimalException, DivisionByZero, Inexact, InvalidOperation, Overflow
+from pathlib import Path, PurePath
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import greenbond as gb
@@ -238,9 +244,11 @@ class ScenarioRunner:
 
     The runner owns the environment plumbing: a faucet account that mints
     microAlgos, and the stablecoin asset whose dispenser hands out funds
-    (receiving stablecoin never costs the recipient anything)."""
+    (receiving stablecoin never costs the recipient anything).  `directory`
+    is the script's: the only place a `report-put` step reads files from."""
 
-    def __init__(self):
+    def __init__(self, directory=None):
+        self.directory = directory
         self.ledger = Ledger()
         self.store = ReportStore()
         self.faucet = self.ledger.create_account("faucet")
@@ -282,9 +290,9 @@ class ScenarioRunner:
         return outcome
 
 
-def run_scenario_text(text: str) -> Tuple[RunOutcome, ScenarioRunner]:
+def run_scenario_text(text: str, directory=None) -> Tuple[RunOutcome, ScenarioRunner]:
     steps = parse_scenario(text)
-    runner = ScenarioRunner()
+    runner = ScenarioRunner(directory)
     return runner.run(steps), runner
 
 
@@ -468,6 +476,8 @@ def _bind_report_put(scope, lineno, args):
         data, path = payload[len("data="):].encode("utf-8"), None
     elif payload.startswith("file="):
         data, path = None, payload[len("file="):].strip()
+        if PurePath(path).is_absolute() or ".." in PurePath(path).parts:
+            raise ScenarioError(lineno, f"report-put: file= must name a file in the script's directory: {path}")
     else:
         raise ScenarioError(lineno, "report-put: expected data=... or file=...")
     return scope.new(lineno, args[0], "report"), data, path
@@ -475,10 +485,15 @@ def _bind_report_put(scope, lineno, args):
 
 def _report_put(runner, name, data, path):
     if path is not None:
+        if runner.directory is None:
+            raise RunStopped("file_unreadable", f"no script directory to read {path} from")
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
+            directory = Path(runner.directory).resolve()
+            target = (directory / path).resolve()
+            if not target.is_relative_to(directory):
+                raise RunStopped("file_unreadable", f"{path} leads out of the script's directory")
+            data = target.read_bytes()
+        except (OSError, RuntimeError, ValueError) as exc:  # a symlink loop, a NUL byte
             raise RunStopped("file_unreadable", str(exc)) from None
     runner.reports[name] = runner.store.store(data)
 

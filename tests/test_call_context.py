@@ -242,3 +242,76 @@ def test_an_approved_clear_state_call_reports_its_bad_write(ledger_cls, handler,
     result = ledger.submit_group([AppCall("alice", APP, OnComplete.CLEAR_STATE, accounts=("ghost",))])
     assert result.rejection == expected
     assert ledger.observable_state() == before
+
+
+# ---------------------------------------------------------------------------
+# a uint in app state is a uint64
+
+
+def out_of_range(value, local=False):
+    def handler(ctx):
+        if local:
+            ctx.local_put("alice", b"l", value)
+        else:
+            ctx.global_put(b"g", value)
+
+    return handler
+
+
+def out_of_range_then(then):
+    def handler(ctx):
+        ctx.global_put(b"g", -1)
+        then(ctx)
+
+    return handler
+
+
+def uint_out_of_range(local=False):
+    where = {"account": "alice", "key": b"l"} if local else {"key": b"g"}
+    return Rejection("app_rejected", {"app": APP, "code": "uint_out_of_range", **where})
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["global", "local"])
+@pytest.mark.parametrize("value", [-1, 2**64, -(2**64), 2**100])
+def test_a_uint_written_out_of_range_is_a_bad_write(value, local):
+    ledger = world(Ledger, {b"go": out_of_range(value, local)})
+    before = ledger.observable_state()
+    assert ledger.submit_group([call("alice", b"go")]).rejection == uint_out_of_range(local)
+    assert ledger.observable_state() == before
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["global", "local"])
+@pytest.mark.parametrize("value", [0, 2**64 - 1, b"\xff" * 8])
+def test_a_uint64_or_bytes_write_is_in_range(value, local):
+    ledger = world(Ledger, {b"go": out_of_range(value, local)})
+    assert ledger.submit_group([call("alice", b"go")]).approved
+
+
+@pytest.mark.parametrize(
+    "then, expected",
+    [
+        (overflow_global, GLOBAL_OVERFLOW),
+        (overflow_local, LOCAL_OVERFLOW),
+        (write_unknown, UNKNOWN),
+        (write_not_opted_in, NOT_OPTED_IN),
+        (lambda ctx: ctx.deny("denied"), Rejection("app_rejected", {"txn_index": 0, "app": APP, "code": "denied"})),
+        (out_of_range(2**64, local=True), uint_out_of_range()),
+    ],
+    ids=["global overflow", "local overflow", "unknown", "not opted in", "denial", "second out of range"],
+)
+def test_every_other_bad_write_comes_before_an_out_of_range_uint(then, expected):
+    ledger = world(Ledger, {b"go": out_of_range_then(then)})
+    before = ledger.observable_state()
+    assert ledger.submit_group([call("alice", b"go", accounts=("carol", "ghost"))]).rejection == expected
+    assert ledger.observable_state() == before
+
+
+@pytest.mark.parametrize("first", [write_not_opted_in, overflow_global], ids=["not opted in", "global overflow"])
+def test_an_out_of_range_uint_after_a_bad_write_keeps_the_first(first):
+    def handler(ctx):
+        first(ctx)
+        ctx.global_put(b"g0", -1)
+
+    ledger = world(Ledger, {b"go": handler})
+    expected = NOT_OPTED_IN if first is write_not_opted_in else GLOBAL_OVERFLOW
+    assert ledger.submit_group([call("alice", b"go", accounts=("carol",))]).rejection == expected

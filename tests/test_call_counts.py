@@ -16,12 +16,12 @@ from conftest import BondEnv
 UNIT = gb.UNIT
 MOST_CALLS = {
     "registration": 46,
-    "buy": 55,
-    "trade": 71,
+    "buy": 54,
+    "trade": 70,
     "coupon": 76,
     "repeat coupon": 73,
     "first coupon of a round": 76,
-    "principal": 82,
+    "principal": 81,
 }
 
 

@@ -201,7 +201,7 @@ def test_bad_token_exits_2_with_its_line(line, tmp_path):
             "approve-bond bond2\n",
             "bond_not_issued: bond2",
         ),
-        ("report-put r file={missing}\n", "file_unreadable: "),
+        ("report-put r file=missing\n", "file_unreadable: "),
         ("fund-stablecoin inv1 2000000000000\n", "faucet_empty: "),
     ],
     ids=["bond_not_issued", "file_unreadable", "faucet_empty"],
@@ -210,7 +210,7 @@ def test_environment_failure_stops_the_run_with_exit_1(lines, code, tmp_path):
     """A run-time failure of the environment is the step's `REJECTED(...)`
     and ends the run with exit 1, as a failed assert does."""
     script = tmp_path / "env.bsim"
-    text = SETUP + lines.format(missing=tmp_path / "missing") + "assert rejected false\n"
+    text = SETUP + lines + "assert rejected false\n"
     script.write_text(text)
     proc = _run_cli(script)
     assert proc.returncode == 1
@@ -243,3 +243,68 @@ def test_more_bad_tokens_are_parse_errors(line):
 def test_rating_index_up_to_rounds_is_accepted():
     outcome, _ = run_scenario_text(SETUP + "assert rating bond1 2 == 0\nassert rating bond1 0 == 0\n")
     assert outcome.exit_code == EXIT_OK, outcome.transcript
+
+
+# ---------------------------------------------------------------------------
+# report files stay in the script's directory
+
+
+def script_in_sub(tmp_path, text):
+    """`sub/s.bsim` holding `text`, with `outside.txt` beside `sub`."""
+    (tmp_path / "outside.txt").write_text("outside")
+    (tmp_path / "sub").mkdir()
+    script = tmp_path / "sub" / "s.bsim"
+    script.write_text(text)
+    return script
+
+
+@pytest.mark.parametrize("cwd", ["sub", "parent"])
+@pytest.mark.parametrize("path", ["../outside.txt", "/etc/hostname", "a/../../outside.txt", "a/../b"])
+def test_report_file_outside_the_directory_is_a_parse_error(tmp_path, monkeypatch, capsys, path, cwd):
+    script = script_in_sub(tmp_path, f"create-account a\nreport-put r file={path}\n")
+    monkeypatch.chdir(script.parent if cwd == "sub" else tmp_path)
+    assert cli.main(["run", os.path.relpath(script)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 2: report-put: file= must name a file in the script's directory")
+
+
+@pytest.mark.parametrize("cwd", ["sub", "parent"])
+def test_report_file_is_read_from_the_scripts_directory(tmp_path, monkeypatch, capsys, cwd):
+    script = script_in_sub(tmp_path, "report-put r file=blob.bin\nreport-put s file=./nested/inner\n")
+    (script.parent / "blob.bin").write_bytes(b"blob")
+    (script.parent / "nested").mkdir()
+    (script.parent / "nested" / "inner").symlink_to(script.parent / "blob.bin")  # a link that stays inside
+    monkeypatch.chdir(script.parent if cwd == "sub" else tmp_path)
+    assert cli.main(["run", os.path.relpath(script)]) == 0
+    assert capsys.readouterr().out == "STEP 1 report-put -> APPROVED\nSTEP 2 report-put -> APPROVED\n"
+    outcome, runner = run_scenario_text(script.read_text(), os.path.relpath(script.parent))
+    assert outcome.exit_code == EXIT_OK
+    assert runner.store.fetch(runner.reports["r"]) == runner.store.fetch(runner.reports["s"]) == b"blob"
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("link", "link leads out of the script's directory"),
+        ("loop", None),
+        ("nul\x00byte", None),
+        ("missing", None),
+    ],
+)
+def test_report_file_that_cannot_be_read_inside_the_directory_stops_the_run(tmp_path, capsys, name, detail):
+    script = script_in_sub(tmp_path, f"create-account a\nreport-put r file={name}\nassert rejected false\n")
+    (script.parent / "link").symlink_to(tmp_path / "outside.txt")
+    (script.parent / "loop").symlink_to(script.parent / "loop")
+    assert cli.main(["run", str(script)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith(f"STEP 2 report-put -> REJECTED(file_unreadable: {detail or ''}")
+    assert len(out.splitlines()) == 2 and "Traceback" not in err
+
+
+def test_a_run_with_no_directory_reads_no_file(tmp_path, monkeypatch):
+    (tmp_path / "blob.bin").write_bytes(b"blob")
+    monkeypatch.chdir(tmp_path)
+    outcome, runner = run_scenario_text("report-put r file=blob.bin\n")
+    assert outcome.exit_code == 1 and runner.reports == {}
+    detail = "no script directory to read blob.bin from"
+    assert outcome.transcript == [f"STEP 1 report-put -> REJECTED(file_unreadable: {detail})"]

@@ -22,7 +22,8 @@ ODD_TOKENS = [
     "inf", "$inf", "-inf", "$Infinity", "NaN", "$NaN", "sNaN", "$-1", "-5", "-0", "$1.0000001",
     "1e-7", "0.5", "9" * 40, "$" + "9" * 40, "1" * 4301, "$", "=", "x=", "=y", "price=$1e999990",
     "expiry=-1", "rounds=-1", "rounds=99", "bonds=0", "bonds=1e3", "cost=$-1", "all", "rejected",
-    "faucet", "#", "==", ">=", "true", "maybe", "data=", "file=", "٣", "1_000",
+    "faucet", "#", "==", ">=", "true", "maybe", "data=", "file=", "file=../x", "file=/etc/hostname",
+    "٣", "1_000",
 ]
 tokens = st.one_of(
     st.sampled_from(sorted(_VERBS) + ["bogus"]),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bondsim import greenbond as gb
-from bondsim.ledger import AppCall, AssetTransfer, Payment
+from bondsim.ledger import AppCall, AssetTransfer, Payment, Rejection
 from bondsim.programs import OnComplete
 
 UNIT = gb.UNIT
@@ -863,3 +863,35 @@ def test_bond_supply_conserved_through_lifecycle(env):
     assert gb.submit_principal(led, dep, a).approved and total() == supply
     assert gb.submit_principal(led, dep, b).approved and total() == supply
     assert gb.bonds_in_circulation(led, dep) == 0
+
+
+# ---------------------------------------------------------------------------
+# the reserve cannot go negative
+
+
+def test_a_claim_that_would_leave_a_negative_reserve_is_refused(env):
+    """A buyer's coupon counter does not travel with the bonds, so a round is
+    paid twice on bonds that changed hands; the claim that would then take the
+    reserve below 0 is a bad write, as a uint64 underflow fails on chain.  The
+    double payment itself is still approved."""
+    dep = env.deploy()  # 100 USD per bond per round, 2 rounds
+    led = env.ledger
+    seller, other, buyer = env.investor("seller"), env.investor("other"), env.investor("buyer")
+    led.advance_time(100)
+    assert gb.submit_buy(led, dep, seller, 10 * UNIT).approved
+    assert gb.submit_buy(led, dep, other, 10 * UNIT).approved
+    assert gb.submit_fund_escrow(led, dep, env.issuer, 6_000 * USD).approved
+    led.advance_time(300)
+    assert gb.submit_coupon(led, dep, seller).approved
+    assert gb.submit_set_trade(led, dep, seller, 10 * UNIT).approved
+    offer = gb.make_trade_offer(dep, seller, 90 * USD, expiry=10_000)
+    assert gb.submit_trade(led, dep, offer, buyer, 10 * UNIT).approved
+    assert gb.submit_coupon(led, dep, buyer).approved
+    assert gb.main_global_state(led, dep)[1] == 0  # round 1's reserve is spent
+    before = led.observable_state()
+
+    result = gb.submit_coupon(led, dep, other)
+
+    reserve_below_0 = {"app": dep.main_app_id, "code": "uint_out_of_range", "key": gb.KEY_RESERVE}
+    assert result.rejection == Rejection("app_rejected", reserve_below_0)
+    assert led.observable_state() == before

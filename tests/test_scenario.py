@@ -179,18 +179,18 @@ assert rejected true
 
 
 def test_rating_and_report_steps(tmp_path):
-    blob = tmp_path / "impact.bin"
-    blob.write_bytes(b"\x00impact bytes\xff")
-    text = BASIC_SETUP + f"""
+    (tmp_path / "impact.bin").write_bytes(b"\x00impact bytes\xff")
+    script = tmp_path / "s.bsim"
+    script.write_text(BASIC_SETUP + """
 rate bond1 verifier 4
 assert rating bond1 0 == 4
 report-put uop data=use of proceeds summary
-report-put impact file={blob}
+report-put impact file=impact.bin
 report-anchor bond1 issuer uop
 report-anchor bond1 issuer impact
 assert cost-total verifier == 1000
-"""
-    outcome, runner = run_scenario_text(text)
+""")
+    outcome, runner = run_scenario_text(script.read_text(), script.parent)
     assert outcome.exit_code == EXIT_OK, outcome.transcript
     from bondsim.reports import list_reports
 
