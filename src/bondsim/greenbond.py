@@ -17,6 +17,8 @@ escrows:
 Each escrow signs a leg only where an action's group shape has it sign that
 leg: under a NoOp main-app head naming the action, in a group of the shape's
 size, so that the action's checks, run from the head, hold every other pin.
+Issuance is such an action too: the operator's setup call, which the main
+app approves once, has the bond escrow pull the whole supply.
 
 The bond asset is minted frozen, so holders can never move it directly;
 0 means "frozen/blocked" for both the global and per-account approval
@@ -88,6 +90,7 @@ CFG_STABLECOIN_ESCROW = "stablecoin_escrow"
 CFG_PEER_APP = "peer_app"
 
 # main app actions
+ACT_SETUP = b"setup"
 ACT_FREEZE = b"freeze"
 ACT_FREEZE_ALL = b"freeze_all"
 ACT_BUY = b"buy"
@@ -494,10 +497,11 @@ def _surrender(action: bytes, check: bytes, label: str, payout: str) -> _Shape:
     )
 
 
-# issuance: the bond escrow pulls the minted supply from the operator and
-# seeds the stablecoin escrow's minimum balance
+# issuance, approved once: the bond escrow pulls the minted supply from the
+# operator and seeds the stablecoin escrow's minimum balance
 _SETUP = _Shape(
     {},
+    _main_call(ACT_SETUP),
     _bond_move(_BY_BOND_ESCROW, revoke_target="$actor", receiver="$bond_escrow", amount="$supply"),
     _Leg(Payment, _BY_BOND_ESCROW, sender="$bond_escrow", receiver="$stablecoin_escrow", amount="$seed"),
 )
@@ -541,13 +545,14 @@ _DEFAULT = _surrender(ACT_DEFAULT, ACT_CLAIM_DEFAULT, "Claim Default", "$payout"
 _SIGNED = {
     sig: {
         ((shape.legs[0].action,), i): len(shape.legs)
-        for shape in (_FREEZE_ALL, _FREEZE, _SET_TRADE, _BUY, _TRADE, _COUPON, _PRINCIPAL, _DEFAULT)
+        for shape in (_SETUP, _FREEZE_ALL, _FREEZE, _SET_TRADE, _BUY, _TRADE, _COUPON, _PRINCIPAL, _DEFAULT)
         for i, leg in enumerate(shape.legs)
         if leg.extra.get("signature") == sig
     }
     for sig in (_BY_BOND_ESCROW["signature"], _BY_STABLECOIN_ESCROW["signature"])
 }
 
+_SETUP_CHECK = _Check(_SETUP)
 _BUY_CHECK = _Check(_BUY)
 _TRADE_CHECK = _Check(_TRADE, {1: None, 2: None})  # the buyer's payment is the offer's to check
 # the offer signs the seller's refund, so it must be the fee exactly: with
@@ -611,6 +616,14 @@ def _require_active(ctx: CallContext, params: BondParams, *addrs: Address) -> No
             ctx.deny("account_frozen", account=addr)
 
 
+def _main_setup(ctx: CallContext, params: BondParams) -> None:
+    # one-shot: the frozen flag exists from setup on, and the bond opens frozen
+    if ctx.global_value(KEY_FROZEN) is not None:
+        ctx.deny("already_set_up")
+    _SETUP_CHECK.require(ctx, params, supply=params.supply_base_units, seed=ESCROW_SEED)
+    ctx.global_put(KEY_FROZEN, 0)
+
+
 def _main_freeze_all(ctx: CallContext, params: BondParams) -> None:
     if ctx.sender != params.financial_regulator:
         ctx.deny("not_regulator")
@@ -657,6 +670,13 @@ def _main_trade(ctx: CallContext, params: BondParams) -> None:
     if bond_move.amount > allowance:
         ctx.deny("allowance_exceeded", requested=bond_move.amount, allowance=allowance)
     ctx.local_put(seller, KEY_TRADE, allowance - bond_move.amount)
+    # the coupon counter travels with the bonds: a buyer holding none takes
+    # the seller's, any other must already have it (no round is paid twice)
+    paid, held = ctx.local_uint(seller, KEY_COUPONS_PAID), ctx.local_uint(buyer, KEY_COUPONS_PAID)
+    if ctx.asset_balance(buyer, ctx.app_config.get(CFG_BOND_ASSET)) == 0:
+        ctx.local_put(buyer, KEY_COUPONS_PAID, paid)
+    elif held != paid:
+        ctx.deny("coupons_differ", coupons_paid=held, seller_coupons_paid=paid)
 
 
 def _slot_rating(raw, slot: int) -> int:
@@ -751,6 +771,7 @@ def _main_opt_in(ctx: CallContext) -> None:
 
 def build_main_program(params: BondParams) -> StatefulProgram:
     dispatch = {
+        ACT_SETUP: _main_setup,
         ACT_FREEZE_ALL: _main_freeze_all,
         ACT_FREEZE: _main_freeze_account,
         ACT_BUY: _main_buy,
@@ -874,44 +895,21 @@ def build_manage_program(params: BondParams) -> StatefulProgram:
 # contract-account escrows
 
 
-def _escrow_program(name: str, params: tuple, signed: dict, issuance: Optional[Callable] = None) -> StatelessProgram:
-    """An escrow of the main app `params[0]`, signing the legs `signed` gives
-    it (see the module docstring) and, after any other head, the `issuance`."""
-    main_app_id = params[0]
+def _escrow_program(name: str, main_app_id: int, signed: dict) -> StatelessProgram:
+    """An escrow of the main app, signing the legs `signed` gives it (see the
+    module docstring)."""
 
     def predicate(group, idx, now) -> bool:
         txns = group.txns
         head = txns[0]
-        if isinstance(head, AppCall):
-            return head.app_id == main_app_id and head.on_complete is NO_OP and signed.get((head.args[:1], idx)) == len(txns)
-        return issuance is not None and issuance(txns)
-
-    return StatelessProgram(name, params, predicate)
-
-
-def build_stablecoin_escrow_program(main_app_id: int) -> StatelessProgram:
-    return _escrow_program("stablecoin-escrow", (main_app_id,), _SIGNED[_BY_STABLECOIN_ESCROW["signature"]])
-
-
-def build_bond_escrow_program(main_app_id: int, sibling_escrow: Address, operator: Address, supply: int) -> StatelessProgram:
-    def issuance(txns) -> bool:
-        # `_SETUP`: pull exactly the supply from the operator, who holds all of
-        # it at issuance, and seed the sibling escrow's minimum balance
-        pull, seed = txns[0], txns[-1]
         return (
-            len(txns) == 2
-            and isinstance(pull, AssetTransfer)
-            and pull.revoke_target == operator
-            and pull.amount == supply
-            and pull.receiver == pull.sender
-            and isinstance(seed, Payment)
-            and seed.sender == pull.sender
-            and seed.receiver == sibling_escrow
-            and seed.amount == ESCROW_SEED
+            isinstance(head, AppCall)
+            and head.app_id == main_app_id
+            and head.on_complete is NO_OP
+            and signed.get((head.args[:1], idx)) == len(txns)
         )
 
-    params = (main_app_id, sibling_escrow, operator, supply)
-    return _escrow_program("bond-escrow", params, _SIGNED[_BY_BOND_ESCROW["signature"]], issuance)
+    return StatelessProgram(name, (main_app_id,), predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +934,7 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     manage_min = MANAGE_APP_BASE_MIN_BALANCE + MANAGE_APP_PER_SLOT_MIN_BALANCE * slots
     required = (
         ESCROW_FUNDING
-        + 6 * FLAT_FEE
+        + 7 * FLAT_FEE
         + ledger.schedule.asset_create
         + MAIN_APP_MIN_BALANCE
         + manage_min
@@ -952,9 +950,9 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     manage_id = ledger.register_app(build_manage_program(params), operator)
     ledger.cost.record(operator, ROW_DEPLOY_MANAGE, min_delta=manage_min, fee=FLAT_FEE, tag=main_id)
 
-    sc_program = build_stablecoin_escrow_program(main_id)
+    sc_program = _escrow_program("stablecoin-escrow", main_id, _SIGNED[_BY_STABLECOIN_ESCROW["signature"]])
     sc_escrow = ledger.register_contract_account(sc_program)
-    bond_program = build_bond_escrow_program(main_id, sc_escrow, operator, params.supply_base_units)
+    bond_program = _escrow_program("bond-escrow", main_id, _SIGNED[_BY_BOND_ESCROW["signature"]])
     bond_escrow = ledger.register_contract_account(bond_program)
 
     asset_id = ledger.create_asset(

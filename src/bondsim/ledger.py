@@ -375,8 +375,7 @@ class CostLedger:
     """Per-actor accumulation of fees and minimum-balance obligations plus
     labelled per-action rows for cost reporting."""
 
-    def __init__(self, state: _LedgerState):
-        self._state = state  # the ledger's live state, never the ledger: no cycle
+    def __init__(self):
         self.rows: list = []
 
     def record(self, actor: Address, label: str, *, amount: int = 0, min_delta: int = 0, fee: int = 0, tag: Optional[int] = None) -> None:
@@ -394,12 +393,6 @@ class CostLedger:
 
     def total_for(self, actor: Address) -> int:
         return sum(row.total for row in self.rows_for(actor))
-
-    def min_balance_locked(self, addr: Address) -> int:
-        acc = self._state.accounts.get(addr)
-        if acc is None:
-            raise UnknownAddress(addr)
-        return acc.min_extra
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +417,7 @@ class Ledger:
         self._times: list = []  # the clock when each of them committed
         self._log: list = []  # LogEntry records of the first len(_log) of them, made on read
         self._noted: dict = {}  # sender -> its committed entries that carry a note, in ledger order
-        self.cost = CostLedger(self._state)
+        self.cost = CostLedger()
 
     # -- accounts -----------------------------------------------------------
 
@@ -477,18 +470,23 @@ class Ledger:
     ) -> int:
         if total <= 0 or decimals < 0:
             raise ValueError("bad asset parameters")
-        acc = self._account(creator)
-        new_extra = acc.min_extra + self.schedule.asset_create
-        if acc.balance - FLAT_FEE < BASE_MIN_BALANCE + new_extra:
-            raise InsufficientBalance(f"{creator} cannot cover asset creation")
-        acc.balance -= FLAT_FEE
-        self._state.fees_paid[creator] = self._state.fees_paid.get(creator, 0) + FLAT_FEE
-        acc.min_extra = new_extra
+        acc = self._charge_creation(creator, self.schedule.asset_create, "asset creation")
         asset_id = self._next_asset
         self._next_asset += 1
         self._assets[asset_id] = AssetDef(asset_id, total, decimals, default_frozen, freeze_addr, clawback_addr, creator)
         acc.holdings[asset_id] = total  # creator holds the full supply
         return asset_id
+
+    def _charge_creation(self, creator: Address, entry: int, what: str) -> Account:
+        """Charge the creator one fee for `what` and raise its minimum balance by `entry`."""
+        acc = self._account(creator)
+        new_extra = acc.min_extra + entry
+        if acc.balance - FLAT_FEE < BASE_MIN_BALANCE + new_extra:
+            raise InsufficientBalance(f"{creator} cannot cover {what}")
+        acc.balance -= FLAT_FEE
+        self._state.fees_paid[creator] = self._state.fees_paid.get(creator, 0) + FLAT_FEE
+        acc.min_extra = new_extra
+        return acc
 
     def asset(self, asset_id: int) -> AssetDef:
         a = self._assets.get(asset_id)
@@ -533,14 +531,7 @@ class Ledger:
     # -- applications --------------------------------------------------------
 
     def register_app(self, program: StatefulProgram, creator: Address) -> int:
-        acc = self._account(creator)
-        entry = self.schedule.app_create_entry(program)
-        new_extra = acc.min_extra + entry
-        if acc.balance - FLAT_FEE < BASE_MIN_BALANCE + new_extra:
-            raise InsufficientBalance(f"{creator} cannot cover app creation")
-        acc.balance -= FLAT_FEE
-        self._state.fees_paid[creator] = self._state.fees_paid.get(creator, 0) + FLAT_FEE
-        acc.min_extra = new_extra
+        self._charge_creation(creator, self.schedule.app_create_entry(program), "app creation")
         app_id = self._next_app
         self._next_app += 1
         caps = min(program.schema.global_keys, MAX_GLOBAL_KEYS), min(program.schema.local_keys, MAX_LOCAL_KEYS)

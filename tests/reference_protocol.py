@@ -7,10 +7,15 @@ test (`tests/test_group_shapes.py`) deploys one bond whose programs come
 from this module and one whose programs come from `bondsim.greenbond`, and
 requires the two to accept and deny the same groups with the same codes.
 The code below is kept as it was, not tidied: it is the behaviour being
-preserved.  One pin was added later, here and in `bondsim.greenbond`
-alike: the manage app's checks and the trade-offer predicate require the
-main-app head to be a NoOp call, since the main app approves an opt-in or
-a close-out without looking at the group.
+preserved.  Some rules were added later, here and in `bondsim.greenbond`
+alike:
+* the manage app's checks and the trade-offer predicate require the
+  main-app head to be a NoOp call, since the main app approves an opt-in or
+  a close-out without looking at the group;
+* the issuance setup is a main-app action, approved once, that pulls
+  exactly the supply from its sender and seeds the stablecoin escrow;
+* a trade hands the seller's coupon counter to a buyer holding no bonds,
+  and refuses any other buyer whose counter differs.
 """
 from __future__ import annotations
 
@@ -26,11 +31,13 @@ from bondsim.greenbond import (
     ACT_RATE,
     ACT_SELL,
     ACT_SET_TRADE,
+    ACT_SETUP,
     ACT_TRADE,
     CFG_BOND_ASSET,
     CFG_BOND_ESCROW,
     CFG_PEER_APP,
     CFG_STABLECOIN_ESCROW,
+    ESCROW_SEED,
     KEY_COUPONS_PAID,
     KEY_FROZEN,
     KEY_RESERVE,
@@ -96,6 +103,32 @@ def _require_active(ctx: CallContext, params: BondParams, *addrs: Address) -> No
             ctx.deny("not_registered", account=addr)
         if ctx.local_uint(addr, KEY_FROZEN) == 0:
             ctx.deny("account_frozen", account=addr)
+
+
+def _main_setup(ctx: CallContext, params: BondParams) -> None:
+    if ctx.global_value(KEY_FROZEN) is not None:
+        ctx.deny("already_set_up")
+    txns = ctx.group.txns
+    ctx.require(len(txns) == 3 and ctx.txn_index == 0, "bad_group")
+    t1, t2 = txns[1], txns[2]
+    bond_escrow = ctx.config(CFG_BOND_ESCROW)
+    ctx.require(
+        isinstance(t1, AssetTransfer)
+        and t1.asset_id == ctx.config(CFG_BOND_ASSET)
+        and t1.sender == bond_escrow
+        and t1.revoke_target == ctx.sender
+        and t1.receiver == bond_escrow
+        and t1.amount == params.supply_base_units,
+        "bad_group",
+    )
+    ctx.require(
+        isinstance(t2, Payment)
+        and t2.sender == bond_escrow
+        and t2.receiver == ctx.config(CFG_STABLECOIN_ESCROW)
+        and t2.amount == ESCROW_SEED,
+        "bad_group",
+    )
+    ctx.global_put(KEY_FROZEN, 0)
 
 
 def _main_freeze_all(ctx: CallContext, params: BondParams) -> None:
@@ -191,6 +224,12 @@ def _main_trade(ctx: CallContext, params: BondParams) -> None:
     if t2.amount > allowance:
         ctx.deny("allowance_exceeded", requested=t2.amount, allowance=allowance)
     ctx.local_put(seller, KEY_TRADE, allowance - t2.amount)
+    seller_paid = ctx.local_uint(seller, KEY_COUPONS_PAID)
+    buyer_paid = ctx.local_uint(buyer, KEY_COUPONS_PAID)
+    if ctx.asset_balance(buyer, bond_asset) == 0:
+        ctx.local_put(buyer, KEY_COUPONS_PAID, seller_paid)
+    elif buyer_paid != seller_paid:
+        ctx.deny("coupons_differ", coupons_paid=buyer_paid, seller_coupons_paid=seller_paid)
 
 
 def _slot_rating(raw, slot: int) -> int:
@@ -366,6 +405,7 @@ def _main_default(ctx: CallContext, params: BondParams) -> None:
 
 def build_main_program(params: BondParams) -> StatefulProgram:
     dispatch = {
+        ACT_SETUP: _main_setup,
         ACT_FREEZE_ALL: _main_freeze_all,
         ACT_FREEZE: _main_freeze_account,
         ACT_BUY: _main_buy,

@@ -17,7 +17,7 @@ UNIT = gb.UNIT
 MOST_CALLS = {
     "registration": 46,
     "buy": 54,
-    "trade": 70,
+    "trade": 73,
     "coupon": 76,
     "repeat coupon": 73,
     "first coupon of a round": 76,

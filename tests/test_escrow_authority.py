@@ -5,14 +5,16 @@ them on any leg of any group.  An escrow signs leg i only when the group's
 head is a NoOp call of the main app whose first argument names an action
 whose shape has that escrow sign leg i, in a group of that shape's size.
 The action's checks, which run from the head, before the leg, hold every
-other pin.  The bond escrow also signs the issuance setup, which pulls
-exactly the supply from the operator.
+other pin.  The issuance setup is such an action: the main app approves its
+head once, when it pulls exactly the supply from its sender.
 
 Thefts 1, 1b and 2 below were approved while the escrows signed through
 hand-written predicates: a clawback needed only some main-app call at the
 head (any action, any on-completion) and a fee refund somewhere in the
-group, and the setup group pulled any holder's bonds.  Every refused group
-must leave the ledger as it was.
+group, and the setup group pulled any holder's bonds.  A headless setup
+group, signed by a clause that fixed the operator and the supply, still
+pulled the operator's bonds once the operator held the whole supply.
+Every refused group must leave the ledger as it was.
 """
 import dataclasses
 import itertools
@@ -26,12 +28,15 @@ from bondsim.programs import OnComplete, StatefulProgram, StateSchema, eval_logi
 UNIT = gb.UNIT
 USD = UNIT
 MAIN_ACTIONS = (
-    gb.ACT_FREEZE_ALL, gb.ACT_FREEZE, gb.ACT_BUY, gb.ACT_SET_TRADE, gb.ACT_TRADE, gb.ACT_COUPON, gb.ACT_SELL,
-    gb.ACT_DEFAULT,
+    gb.ACT_SETUP, gb.ACT_FREEZE_ALL, gb.ACT_FREEZE, gb.ACT_BUY, gb.ACT_SET_TRADE, gb.ACT_TRADE, gb.ACT_COUPON,
+    gb.ACT_SELL, gb.ACT_DEFAULT,
 )
 # (action, leg) -> the size of the action's group, for the legs each escrow signs
 SIGNED = {
-    "bond": {(gb.ACT_BUY, 2): 4, (gb.ACT_TRADE, 2): 4, (gb.ACT_SELL, 2): 6, (gb.ACT_DEFAULT, 2): 6},
+    "bond": {
+        (gb.ACT_SETUP, 1): 3, (gb.ACT_SETUP, 2): 3,
+        (gb.ACT_BUY, 2): 4, (gb.ACT_TRADE, 2): 4, (gb.ACT_SELL, 2): 6, (gb.ACT_DEFAULT, 2): 6,
+    },
     "stablecoin": {(gb.ACT_COUPON, 3): 4, (gb.ACT_SELL, 3): 6, (gb.ACT_DEFAULT, 3): 6},
 }
 SIGNED_LEGS = [(escrow, action, leg) for escrow, legs in SIGNED.items() for action, leg in legs]
@@ -122,26 +127,103 @@ def test_replayed_setup_cannot_pull_the_whole_supply_from_another_holder(env):
     refused(env, replayed_setup(env, dep, victim, dep.params.supply_base_units), index=0)
 
 
+def operator_buys(env, total_bonds):
+    """A deployment whose operator, approved as an investor, buys 10 bonds."""
+    dep = env.deploy(total_bonds=total_bonds)
+    led, operator = env.ledger, env.operator
+    led.dispense_asset(env.stablecoin, env.bank, operator, 10**12)
+    assert led.submit_group([AppCall(operator, dep.main_app_id, OnComplete.OPT_IN)]).approved
+    assert gb.submit_freeze_account(led, dep, env.regulator, operator, 1).approved
+    led.advance_time(100)
+    assert gb.submit_buy(led, dep, operator, 10 * UNIT).approved
+    return dep
+
+
 def test_replayed_setup_cannot_pull_part_of_the_supply_from_the_operator(env):
-    dep = env.deploy()
-    operator = env.operator
-    env.ledger.dispense_asset(env.stablecoin, env.bank, operator, 10**12)
-    assert env.ledger.submit_group([AppCall(operator, dep.main_app_id, OnComplete.OPT_IN)]).approved
-    assert gb.submit_freeze_account(env.ledger, dep, env.regulator, operator, 1).approved
-    env.ledger.advance_time(100)
-    assert gb.submit_buy(env.ledger, dep, operator, 10 * UNIT).approved
+    dep = operator_buys(env, total_bonds=100)
 
-    refused(env, replayed_setup(env, dep, operator, 10 * UNIT), index=0)
+    refused(env, replayed_setup(env, dep, env.operator, 10 * UNIT), index=0)
 
-    assert bonds(env, operator) == 10 * UNIT
+    assert bonds(env, env.operator) == 10 * UNIT
+
+
+def refused_by_the_main_app(env, txns, code):
+    result = refused(env, txns)
+    assert (result.reason(), result.rejection.detail["txn_index"]) == (f"app_rejected:{code}", 0)
+    return result
 
 
 def test_the_setup_group_replayed_after_issuance_is_refused(env):
     dep = env.deploy()
     setup = gb._SETUP.build(dep, env.operator, supply=dep.params.supply_base_units, seed=gb.ESCROW_SEED)
-    assert eval_logic_signature(dep.bond_escrow_lsig, setup, 0, env.ledger.now)  # the operator holds no bond now
+    for leg in (1, 2):
+        assert eval_logic_signature(dep.bond_escrow_lsig, setup, leg, env.ledger.now)
 
-    refused(env, setup)
+    refused_by_the_main_app(env, setup, "already_set_up")
+
+
+def test_a_replayed_setup_cannot_take_back_the_whole_supply_from_the_operator(env):
+    """The operator buys back all 10 bonds of an issue and a stranger funds the
+    bond escrow's seed and fees: the headless two-leg setup pulled them back
+    into the escrow before setup was an action of the main app."""
+    dep = operator_buys(env, total_bonds=10)
+    headless = replayed_setup(env, dep, env.operator, dep.params.supply_base_units)
+    head = AppCall(env.new_account("stranger"), dep.main_app_id, args=(gb.ACT_SETUP,))
+
+    refused_by_the_main_app(env, [head, *headless], "already_set_up")
+    refused(env, headless, index=0)
+
+    assert bonds(env, env.operator) == dep.params.supply_base_units
+
+
+def before_setup(env):
+    """A deployment whose issuance stopped just before its setup group, and
+    that group, as `issue` builds it."""
+    held = []
+    submit = gb._submit_or_raise
+
+    def hold_setup(ledger, txns, stage):
+        if stage == "moving supply into escrow":
+            held.append(txns)
+        else:
+            submit(ledger, txns, stage)
+
+    gb._submit_or_raise = hold_setup
+    try:
+        dep = env.deploy(approve=False)
+    finally:
+        gb._submit_or_raise = submit
+    (setup,) = held
+    return dep, setup
+
+
+@pytest.mark.parametrize(
+    "leg, field, value",
+    [
+        (1, "amount", "supply - 1"),
+        (1, "revoke_target", "stranger"),
+        (1, "receiver", "stablecoin escrow"),
+        (2, "amount", "seed + 1"),
+        (2, "receiver", "stranger"),
+    ],
+)
+def test_the_setup_call_pulls_exactly_the_supply_from_its_sender(env, leg, field, value):
+    dep, setup = before_setup(env)
+    stranger = env.new_account("stranger")
+    values = {
+        "supply - 1": dep.params.supply_base_units - 1,
+        "stranger": stranger,
+        "stablecoin escrow": dep.stablecoin_escrow,
+        "seed + 1": gb.ESCROW_SEED + 1,
+    }
+    txns = list(setup.txns)
+    txns[leg] = dataclasses.replace(txns[leg], **{field: values[value]})
+
+    result = refused_by_the_main_app(env, txns, "bad_group")
+
+    assert (result.rejection.detail["leg"], result.rejection.detail["field"]) == (leg, field)
+    assert env.ledger.submit_group(setup).approved
+    assert bonds(env, dep.bond_escrow) == dep.params.supply_base_units
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +257,11 @@ def test_an_escrow_signs_exactly_the_legs_of_the_shapes(env, escrow):
 
 def due(env, action):
     """A deployment, and the honest group of `action` at a time it is approved:
-    a holder of 10 bonds (of 15 sold) buys, sells them all through an offer, or
-    claims with 10,000 USD in the escrow (300 USD, short of the first coupon
-    round, for a default)."""
+    the issuance sets up, or a holder of 10 bonds (of 15 sold) buys, sells them
+    all through an offer, or claims with 10,000 USD in the escrow (300 USD,
+    short of the first coupon round, for a default)."""
+    if action == gb.ACT_SETUP:
+        return before_setup(env)
     dep = env.deploy()  # 100 USD per bond per round, 2 rounds, maturity 400
     led = env.ledger
     holder, other = env.investor("holder"), env.investor("other")
@@ -233,7 +317,8 @@ def placements(env, dep, txns, leg, escrow):
         placed["one leg shorter"] = (txns[: leg - 1] + txns[leg:], leg - 1, False)
     swapped = list(txns)
     swapped[leg - 1], swapped[leg] = txns[leg], txns[leg - 1]
-    placed["at another index"] = (swapped, leg - 1, False)
+    # the setup's escrow signs both its legs; its main-app check refuses them swapped
+    placed["at another index"] = (swapped, leg - 1, SIGNED[escrow].get((head.args[0], leg - 1)) == len(txns))
     return placed
 
 

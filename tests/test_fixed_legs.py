@@ -22,7 +22,7 @@ from test_builders import SHAPES, keyword_build
 
 USD = UNIT
 # the legs of each shape that take no operand of the action and no earlier leg
-FIXED = {"_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5), "_DEFAULT": (0, 1, 4, 5)}
+FIXED = {"_SETUP": (0,), "_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5), "_DEFAULT": (0, 1, 4, 5)}
 
 
 def cached_ids(dep) -> set:

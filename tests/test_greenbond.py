@@ -866,14 +866,13 @@ def test_bond_supply_conserved_through_lifecycle(env):
 
 
 # ---------------------------------------------------------------------------
-# the reserve cannot go negative
+# the coupon counter travels with the bonds
 
 
-def test_a_claim_that_would_leave_a_negative_reserve_is_refused(env):
-    """A buyer's coupon counter does not travel with the bonds, so a round is
-    paid twice on bonds that changed hands; the claim that would then take the
-    reserve below 0 is a bad write, as a uint64 underflow fails on chain.  The
-    double payment itself is still approved."""
+def sold_after_round_one(env):
+    """`seller` and `other` hold 10 bonds each; the escrow holds 6,000 USD,
+    two rounds plus principal for 20 bonds; at t=300 `seller` claims round 1
+    and then sells all 10 bonds to a fresh `buyer` through an offer."""
     dep = env.deploy()  # 100 USD per bond per round, 2 rounds
     led = env.ledger
     seller, other, buyer = env.investor("seller"), env.investor("other"), env.investor("buyer")
@@ -883,15 +882,72 @@ def test_a_claim_that_would_leave_a_negative_reserve_is_refused(env):
     assert gb.submit_fund_escrow(led, dep, env.issuer, 6_000 * USD).approved
     led.advance_time(300)
     assert gb.submit_coupon(led, dep, seller).approved
-    assert gb.submit_set_trade(led, dep, seller, 10 * UNIT).approved
+    sell(env, dep, seller, buyer, 10 * UNIT)
+    return dep, seller, other, buyer
+
+
+def sell(env, dep, seller, buyer, amount):
+    assert gb.submit_set_trade(env.ledger, dep, seller, amount).approved
     offer = gb.make_trade_offer(dep, seller, 90 * USD, expiry=10_000)
-    assert gb.submit_trade(led, dep, offer, buyer, 10 * UNIT).approved
-    assert gb.submit_coupon(led, dep, buyer).approved
-    assert gb.main_global_state(led, dep)[1] == 0  # round 1's reserve is spent
+    return gb.submit_trade(env.ledger, dep, offer, buyer, amount)
+
+
+def coupons_paid(env, dep, investor):
+    return gb.investor_local_state(env.ledger, dep, investor)[0]
+
+
+def test_a_round_is_paid_once_on_bonds_that_changed_hands(env):
+    """The buyer takes the seller's counter, so its claim on bonds whose round 1
+    the seller collected is refused, and `other`, whose round 1 the buyer's
+    claim took before, is paid; the escrow then holds what is still owed."""
+    dep, seller, other, buyer = sold_after_round_one(env)
+    led = env.ledger
+    assert coupons_paid(env, dep, buyer) == 1
+
+    refused = gb.submit_coupon(led, dep, buyer)
+
+    assert refused.reason() == "app_rejected:nothing_claimable"
+    assert gb.submit_coupon(led, dep, other).approved
+    assert env.escrow_funds() == 4_000 * USD  # round 2 and principal for 20 bonds
+    assert gb.main_global_state(led, dep)[1] == 0  # round 1's reserve is spent, and not overspent
+
+
+def test_a_buyer_holding_no_bonds_takes_the_sellers_lower_or_higher_count(env):
+    dep, seller, other, buyer = sold_after_round_one(env)
+    led = env.ledger
+    assert coupons_paid(env, dep, other) == 0  # unclaimed: lower than the buyer's 1
+    assert sell(env, dep, buyer, env.investor("empty"), 10 * UNIT).approved  # the buyer holds none again
+
+    assert sell(env, dep, other, buyer, 4 * UNIT).approved
+
+    assert coupons_paid(env, dep, buyer) == 0
+    cash = led.asset_balance(buyer, env.stablecoin)
+    assert gb.submit_coupon(led, dep, buyer).approved  # round 1, on bonds that were never paid it
+    assert led.asset_balance(buyer, env.stablecoin) - cash == 400 * USD
+    fresh = env.investor("fresh")
+    assert sell(env, dep, buyer, fresh, UNIT).approved
+    assert coupons_paid(env, dep, fresh) == 1  # higher than its own 0
+
+
+def test_a_buyer_holding_bonds_with_another_count_is_refused(env):
+    dep, seller, other, buyer = sold_after_round_one(env)
+    led = env.ledger
+    assert gb.submit_set_trade(led, dep, other, 5 * UNIT).approved
+    offer = gb.make_trade_offer(dep, other, 90 * USD, expiry=10_000)
     before = led.observable_state()
 
-    result = gb.submit_coupon(led, dep, other)
+    result = gb.submit_trade(led, dep, offer, buyer, 5 * UNIT)
 
-    reserve_below_0 = {"app": dep.main_app_id, "code": "uint_out_of_range", "key": gb.KEY_RESERVE}
-    assert result.rejection == Rejection("app_rejected", reserve_below_0)
+    assert result.reason() == "app_rejected:coupons_differ"
+    assert (result.rejection.detail["coupons_paid"], result.rejection.detail["seller_coupons_paid"]) == (1, 0)
     assert led.observable_state() == before
+
+
+def test_a_self_trade_keeps_the_count(env):
+    dep, seller, other, buyer = sold_after_round_one(env)
+    before = gb.investor_local_state(env.ledger, dep, buyer)
+
+    assert sell(env, dep, buyer, buyer, 4 * UNIT).approved
+
+    assert gb.investor_local_state(env.ledger, dep, buyer) == before  # the allowance set is spent again
+    assert env.ledger.asset_balance(buyer, dep.bond_asset_id) == 10 * UNIT

@@ -74,8 +74,7 @@ def test_create_asset_costs_and_supply(ledger):
     asset = ledger.create_asset(creator, total=1_000_000_000_000, decimals=6)
     assert ledger.asset_balance(creator, asset) == 1_000_000_000_000
     assert ledger.fees_paid(creator) == FLAT_FEE
-    assert ledger.min_balance(creator) == 200_000
-    assert ledger.cost.min_balance_locked(creator) == 100_000
+    assert ledger.min_balance(creator) == BASE_MIN_BALANCE + 100_000
 
 
 def test_create_asset_requires_funding(ledger):

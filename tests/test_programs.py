@@ -1,6 +1,6 @@
 import pytest
 
-from bondsim.ledger import AppCall, Ledger, Payment, TransactionGroup
+from bondsim.ledger import BASE_MIN_BALANCE, AppCall, Ledger, Payment, TransactionGroup
 from bondsim.programs import (
     LogicSig,
     OnComplete,
@@ -135,11 +135,11 @@ def test_register_app_charges_schedule(env):
     ledger, creator, app_id, user = env
     # schema-derived entry: base + per-uint terms
     expected = 100_000 + 28_500 * 64
-    assert ledger.cost.min_balance_locked(creator) == expected
+    assert ledger.min_balance(creator) == BASE_MIN_BALANCE + expected
     zero_schema = StatefulProgram("empty", StateSchema(), approval=lambda ctx: None)
-    before = ledger.cost.min_balance_locked(creator)
+    before = ledger.min_balance(creator)
     ledger.register_app(zero_schema, creator)
-    assert ledger.cost.min_balance_locked(creator) - before == 100_000
+    assert ledger.min_balance(creator) - before == 100_000
 
 
 def test_opt_in_initializes_local_state(env):
@@ -205,10 +205,10 @@ def test_local_reads_require_reference(env):
 def test_close_out_releases_local_state(env):
     ledger, creator, app_id, user = env
     assert ledger.submit_group([call(app_id, user, oc=OnComplete.OPT_IN)]).approved
-    base = ledger.cost.min_balance_locked(user)
+    base = ledger.min_balance(user)
     assert ledger.submit_group([call(app_id, user, oc=OnComplete.CLOSE_OUT)]).approved
     assert not ledger.is_opted_in(user, app_id)
-    assert ledger.cost.min_balance_locked(user) < base
+    assert ledger.min_balance(user) < base
 
 
 def test_clear_state_removes_local_even_when_denied(env):
@@ -236,8 +236,8 @@ def test_update_gating_and_finalization(env):
 
 def test_delete_releases_creator_min_balance(env):
     ledger, creator, app_id, user = env
-    before = ledger.cost.min_balance_locked(creator)
+    before = ledger.min_balance(creator)
     assert ledger.submit_group([call(app_id, creator, oc=OnComplete.DELETE_APPLICATION)]).approved
-    assert ledger.cost.min_balance_locked(creator) < before
+    assert ledger.min_balance(creator) < before
     result = ledger.submit_group([call(app_id, user, b"bump")])
     assert result.rejected and result.rejection.code == "unknown_app"
