@@ -9,7 +9,6 @@ from .ledger import (
     InsufficientBalance,
     Ledger,
     LedgerError,
-    MinBalanceSchedule,
     Payment,
     Rejection,
     SubmitResult,

@@ -39,6 +39,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import reports
 from .ledger import (
+    ASSET_CREATE_MIN_BALANCE,
+    ASSET_OPT_IN_MIN_BALANCE,
     Address,
     AppCall,
     AssetTransfer,
@@ -764,7 +766,11 @@ def _approval(params: BondParams, dispatch: dict, opt_in: Callable[[CallContext]
 
 
 def _main_opt_in(ctx: CallContext) -> None:
-    ctx.local_put(ctx.sender, KEY_COUPONS_PAID, 0)
+    # only a holder back after a close-out or clear-state holds bonds here: its
+    # old counter is gone, so it starts at the last round opened and forfeits
+    # any of those it had not claimed
+    held = ctx.asset_balance(ctx.sender, ctx.app_config.get(CFG_BOND_ASSET))
+    ctx.local_put(ctx.sender, KEY_COUPONS_PAID, ctx.global_uint(KEY_COUPONS_PAID) if held else 0)
     ctx.local_put(ctx.sender, KEY_TRADE, 0)
     ctx.local_put(ctx.sender, KEY_FROZEN, 0)
 
@@ -930,14 +936,13 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     regulator approval.  The operator pays every issuance cost."""
     params.validate()
     ledger.asset(params.stablecoin_id)
-    slots = rating_slot_count(params.coupon_rounds)
-    manage_min = MANAGE_APP_BASE_MIN_BALANCE + MANAGE_APP_PER_SLOT_MIN_BALANCE * slots
+    main, manage = build_main_program(params), build_manage_program(params)
     required = (
         ESCROW_FUNDING
         + 7 * FLAT_FEE
-        + ledger.schedule.asset_create
-        + MAIN_APP_MIN_BALANCE
-        + manage_min
+        + ASSET_CREATE_MIN_BALANCE
+        + main.min_balance_create
+        + manage.min_balance_create
     )
     spendable = ledger.algo_balance(operator) - ledger.min_balance(operator)
     if spendable < required:
@@ -945,10 +950,10 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
             f"operator needs {required} spendable microAlgos for issuance, has {spendable}"
         )
 
-    main_id = ledger.register_app(build_main_program(params), operator)
-    ledger.cost.record(operator, ROW_DEPLOY_MAIN, min_delta=MAIN_APP_MIN_BALANCE, fee=FLAT_FEE, tag=main_id)
-    manage_id = ledger.register_app(build_manage_program(params), operator)
-    ledger.cost.record(operator, ROW_DEPLOY_MANAGE, min_delta=manage_min, fee=FLAT_FEE, tag=main_id)
+    main_id = ledger.register_app(main, operator)
+    ledger.cost.record(operator, ROW_DEPLOY_MAIN, min_delta=main.min_balance_create, fee=FLAT_FEE, tag=main_id)
+    manage_id = ledger.register_app(manage, operator)
+    ledger.cost.record(operator, ROW_DEPLOY_MANAGE, min_delta=manage.min_balance_create, fee=FLAT_FEE, tag=main_id)
 
     sc_program = _escrow_program("stablecoin-escrow", main_id, _SIGNED[_BY_STABLECOIN_ESCROW["signature"]])
     sc_escrow = ledger.register_contract_account(sc_program)
@@ -962,7 +967,7 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
         default_frozen=True,
         clawback_addr=bond_escrow,
     )
-    ledger.cost.record(operator, ROW_CREATE_ASA, min_delta=ledger.schedule.asset_create, fee=FLAT_FEE, tag=main_id)
+    ledger.cost.record(operator, ROW_CREATE_ASA, min_delta=ASSET_CREATE_MIN_BALANCE, fee=FLAT_FEE, tag=main_id)
 
     config = {CFG_BOND_ASSET: asset_id, CFG_BOND_ESCROW: bond_escrow, CFG_STABLECOIN_ESCROW: sc_escrow}
     updates = [
@@ -978,7 +983,7 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     ledger.cost.record(operator, ROW_UPDATE_APPS, fee=2 * FLAT_FEE, tag=main_id)
 
     # contract accounts hold their assets by construction; the published cost
-    # schedule prices these holdings at zero
+    # table prices these holdings at zero
     ledger.grant_holding(bond_escrow, asset_id)
     ledger.grant_holding(sc_escrow, params.stablecoin_id)
 
@@ -1148,7 +1153,7 @@ def register_investor(ledger: Ledger, dep: BondDeployment, investor: Address) ->
     if result.rejected:
         return result
     ledger.cost.record(
-        investor, ROW_OPT_IN_ASA, min_delta=ledger.schedule.asset_opt_in, fee=FLAT_FEE, tag=dep.main_app_id
+        investor, ROW_OPT_IN_ASA, min_delta=ASSET_OPT_IN_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
     )
     result = ledger.submit_group([AppCall(investor, dep.main_app_id, OPT_IN)])
     if result.rejected:

@@ -54,6 +54,8 @@ MicroAlgos = int
 MICRO_ALGOS_PER_ALGO = 1_000_000
 FLAT_FEE = 1_000
 BASE_MIN_BALANCE = 100_000
+ASSET_CREATE_MIN_BALANCE = 100_000  # the creator's minimum-balance entry for an asset
+ASSET_OPT_IN_MIN_BALANCE = 100_000  # a holder's, for opting into one
 MAX_GROUP_SIZE = 16
 
 
@@ -201,9 +203,7 @@ class AssetDef:
     total: int
     decimals: int
     default_frozen: bool
-    freeze_addr: Optional[Address]
     clawback_addr: Optional[Address]
-    creator: Address
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ class Account:
     balance: int = 0
     holdings: dict = field(default_factory=dict)  # asset_id -> base units
     local: dict = field(default_factory=dict)  # app_id -> {key: value}
-    min_extra: int = 0  # schedule entries above the base minimum
+    min_extra: int = 0  # minimum-balance entries above the base minimum
 
 
 @dataclass
@@ -237,6 +237,8 @@ class _AppCode:
     creator: Address
     global_cap: int  # most global keys the app may hold
     local_cap: int  # most local keys it may hold per account
+    create_entry: int  # the creator's minimum-balance entry
+    opt_in_entry: int  # each opted-in account's
 
 
 class _LedgerState:
@@ -334,27 +336,12 @@ class LogEntry:
 # cost accounting
 
 
-@dataclass(frozen=True)
-class MinBalanceSchedule:
-    """Minimum-balance increments charged per opt-in/creation event."""
-
-    asset_create: int = 100_000
-    asset_opt_in: int = 100_000
-    app_base: int = 100_000
-    app_per_uint: int = 28_500
-    app_per_byte_slice: int = 50_000
-
-    def app_create_entry(self, program: StatefulProgram) -> int:
-        if program.min_balance_create is not None:
-            return program.min_balance_create
-        s = program.schema
-        return self.app_base + self.app_per_uint * s.global_uints + self.app_per_byte_slice * s.global_bytes
-
-    def app_opt_in_entry(self, program: StatefulProgram) -> int:
-        if program.min_balance_opt_in is not None:
-            return program.min_balance_opt_in
-        s = program.schema
-        return self.app_base + self.app_per_uint * s.local_uints + self.app_per_byte_slice * s.local_bytes
+def _app_entry(stated: Optional[int], uints: int, byte_slices: int) -> int:
+    """An app's minimum-balance entry: the program's stated value, or else its
+    schema's price."""
+    if stated is not None:
+        return stated
+    return 100_000 + 28_500 * uints + 50_000 * byte_slices
 
 
 @dataclass(slots=True)
@@ -403,8 +390,7 @@ class Ledger:
     """Single-writer ledger value.  All mutation flows through the explicit
     operations below; concurrent read-only queries are safe between them."""
 
-    def __init__(self, schedule: Optional[MinBalanceSchedule] = None):
-        self.schedule = schedule or MinBalanceSchedule()
+    def __init__(self):
         self._state = _LedgerState()
         self._assets: dict = {}
         self._app_code: dict = {}
@@ -465,15 +451,14 @@ class Ledger:
         total: int,
         decimals: int,
         default_frozen: bool = False,
-        freeze_addr: Optional[Address] = None,
         clawback_addr: Optional[Address] = None,
     ) -> int:
         if total <= 0 or decimals < 0:
             raise ValueError("bad asset parameters")
-        acc = self._charge_creation(creator, self.schedule.asset_create, "asset creation")
+        acc = self._charge_creation(creator, ASSET_CREATE_MIN_BALANCE, "asset creation")
         asset_id = self._next_asset
         self._next_asset += 1
-        self._assets[asset_id] = AssetDef(asset_id, total, decimals, default_frozen, freeze_addr, clawback_addr, creator)
+        self._assets[asset_id] = AssetDef(asset_id, total, decimals, default_frozen, clawback_addr)
         acc.holdings[asset_id] = total  # creator holds the full supply
         return asset_id
 
@@ -531,11 +516,14 @@ class Ledger:
     # -- applications --------------------------------------------------------
 
     def register_app(self, program: StatefulProgram, creator: Address) -> int:
-        self._charge_creation(creator, self.schedule.app_create_entry(program), "app creation")
+        s = program.schema
+        create = _app_entry(program.min_balance_create, s.global_uints, s.global_bytes)
+        self._charge_creation(creator, create, "app creation")
         app_id = self._next_app
         self._next_app += 1
-        caps = min(program.schema.global_keys, MAX_GLOBAL_KEYS), min(program.schema.local_keys, MAX_LOCAL_KEYS)
-        self._app_code[app_id] = _AppCode(app_id, program, creator, *caps)
+        caps = min(s.global_keys, MAX_GLOBAL_KEYS), min(s.local_keys, MAX_LOCAL_KEYS)
+        opt_in = _app_entry(program.min_balance_opt_in, s.local_uints, s.local_bytes)
+        self._app_code[app_id] = _AppCode(app_id, program, creator, *caps, create, opt_in)
         self._state.apps[app_id] = AppState()
         return app_id
 
@@ -713,7 +701,7 @@ class Ledger:
             # opt-in: zero self-transfer creates the holding
             sender = undo.account(txn.sender)
             undo.put(sender.holdings, txn.asset_id, 0)
-            sender.min_extra += self.schedule.asset_opt_in
+            sender.min_extra += ASSET_OPT_IN_MIN_BALANCE
             return
 
         if txn.asset_id not in sender.holdings:
@@ -740,7 +728,7 @@ class Ledger:
                 raise _Reject("already_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
             undo.put(acc.local, txn.app_id, {})
-            acc.min_extra += self.schedule.app_opt_in_entry(program)
+            acc.min_extra += code.opt_in_entry
 
         if oc is CLEAR_STATE:
             self._clear_state(undo, code, group, idx)
@@ -758,7 +746,7 @@ class Ledger:
         if denial is not None:
             raise _Reject("app_rejected", {"txn_index": idx, "app": txn.app_id, **denial})
         if ctx.bad_write is not None:
-            raise _Reject(*ctx.bad_write)
+            raise _Reject(*ctx.bad_write, txn_index=idx)
         if oc is NO_OP:
             return
 
@@ -767,10 +755,10 @@ class Ledger:
                 raise _Reject("not_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
             undo.drop(acc.local, txn.app_id)
-            acc.min_extra -= self.schedule.app_opt_in_entry(program)
+            acc.min_extra -= code.opt_in_entry
         elif oc is DELETE_APPLICATION:
             undo.drop(st.apps, txn.app_id)
-            undo.account(code.creator).min_extra -= self.schedule.app_create_entry(program)
+            undo.account(code.creator).min_extra -= code.create_entry
 
     def _clear_state(self, undo: _Undo, code: _AppCode, group: TransactionGroup, idx: int) -> None:
         """A clear-state call removes the local state, approved or not; only an
@@ -792,10 +780,10 @@ class Ledger:
         if txn.app_id not in undo.state.accounts[txn.sender].local:
             raise _Reject("not_opted_in", txn_index=idx)
         if not denied and ctx.bad_write is not None:
-            raise _Reject(*ctx.bad_write)
+            raise _Reject(*ctx.bad_write, txn_index=idx)
         acc = undo.account(txn.sender)
         undo.drop(acc.local, txn.app_id)
-        acc.min_extra -= self.schedule.app_opt_in_entry(code.program)
+        acc.min_extra -= code.opt_in_entry
 
     def _check_min_balances(self, undo: _Undo) -> None:
         """Every account the group saved must keep its minimum balance, but for

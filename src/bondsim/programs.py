@@ -130,8 +130,9 @@ class StateSchema:
 class StatefulProgram:
     """Approval + clear-state handlers plus the state schema.
 
-    `min_balance_create` / `min_balance_opt_in` override the schedule-derived
-    minimum-balance increments; None means "derive from the schema".
+    `min_balance_create` / `min_balance_opt_in` state the minimum-balance
+    entries the app's creator and each opted-in account lock; None means
+    "price the schema" (see `ledger.Ledger.register_app`).
     """
 
     name: str

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import NoReturn, Optional
 
 from bondsim.ledger import (
+    ASSET_OPT_IN_MIN_BALANCE,
     BASE_MIN_BALANCE,
     FLAT_FEE,
     MAX_GROUP_SIZE,
@@ -300,7 +301,7 @@ class CloneLedger(Ledger):
 
         if txn.receiver == txn.sender and txn.amount == 0 and txn.asset_id not in sender.holdings:
             sender.holdings[txn.asset_id] = 0
-            sender.min_extra += self.schedule.asset_opt_in
+            sender.min_extra += ASSET_OPT_IN_MIN_BALANCE
             return
 
         if txn.asset_id not in sender.holdings:
@@ -328,7 +329,7 @@ class CloneLedger(Ledger):
             if txn.app_id in acc.local:
                 raise _Reject("already_opted_in", txn_index=idx)
             acc.local[txn.app_id] = {}
-            acc.min_extra += self.schedule.app_opt_in_entry(program)
+            acc.min_extra += code.opt_in_entry
 
         ctx = CallContext(
             app_id=txn.app_id,
@@ -355,9 +356,9 @@ class CloneLedger(Ledger):
             if txn.app_id not in acc.local:
                 raise _Reject("not_opted_in", txn_index=idx)
             if denied is None:
-                self._ref_commit_app_writes(st, code, ctx, touched)
+                self._ref_commit_app_writes(st, code, ctx, idx, touched)
             del acc.local[txn.app_id]
-            acc.min_extra -= self.schedule.app_opt_in_entry(program)
+            acc.min_extra -= code.opt_in_entry
             return
 
         if denied is not None:
@@ -365,20 +366,20 @@ class CloneLedger(Ledger):
                 "app_rejected",
                 {"txn_index": idx, "app": txn.app_id, "code": denied.code, **denied.detail},
             )
-        self._ref_commit_app_writes(st, code, ctx, touched)
+        self._ref_commit_app_writes(st, code, ctx, idx, touched)
 
         if oc is OnComplete.CLOSE_OUT:
             if txn.app_id not in acc.local:
                 raise _Reject("not_opted_in", txn_index=idx)
             del acc.local[txn.app_id]
-            acc.min_extra -= self.schedule.app_opt_in_entry(program)
+            acc.min_extra -= code.opt_in_entry
         elif oc is OnComplete.DELETE_APPLICATION:
             del st.apps[txn.app_id]
             creator_acc = st.accounts[code.creator]
-            creator_acc.min_extra -= self.schedule.app_create_entry(program)
+            creator_acc.min_extra -= code.create_entry
             touched.add(code.creator)
 
-    def _ref_commit_app_writes(self, st, code, ctx, touched):
+    def _ref_commit_app_writes(self, st, code, ctx, idx, touched):
         app_state = st.apps[code.app_id]
         if ctx.config_writes:
             app_state.config.update(ctx.config_writes)
@@ -388,17 +389,18 @@ class CloneLedger(Ledger):
             app_state.global_state.update(ctx.global_writes)
             cap = min(code.program.schema.global_keys, MAX_GLOBAL_KEYS)
             if len(app_state.global_state) > cap:
-                raise _Reject("app_rejected", {"app": code.app_id, "code": "global_schema_exceeded"})
+                raise _Reject("app_rejected", {"app": code.app_id, "code": "global_schema_exceeded"}, txn_index=idx)
         for (addr, key), value in ctx.local_writes.items():
             target = st.accounts.get(addr)
             if target is None:
-                raise _Reject("unknown_address", address=addr)
+                raise _Reject("unknown_address", address=addr, txn_index=idx)
             if code.app_id not in target.local:
-                raise _Reject("app_rejected", {"app": code.app_id, "code": "not_opted_in", "account": addr})
+                detail = {"app": code.app_id, "code": "not_opted_in", "account": addr}
+                raise _Reject("app_rejected", detail, txn_index=idx)
             target.local[code.app_id][key] = value
             cap = min(code.program.schema.local_keys, MAX_LOCAL_KEYS)
             if len(target.local[code.app_id]) > cap:
-                raise _Reject("app_rejected", {"app": code.app_id, "code": "local_schema_exceeded"})
+                raise _Reject("app_rejected", {"app": code.app_id, "code": "local_schema_exceeded"}, txn_index=idx)
             touched.add(addr)
 
     def _ref_check_min_balances(self, st, touched):

@@ -15,7 +15,10 @@ alike:
 * the issuance setup is a main-app action, approved once, that pulls
   exactly the supply from its sender and seeds the stablecoin escrow;
 * a trade hands the seller's coupon counter to a buyer holding no bonds,
-  and refuses any other buyer whose counter differs.
+  and refuses any other buyer whose counter differs;
+* an opt-in by an account that already holds bonds, which only a holder
+  back after a close-out or clear-state can, starts its counter at the main
+  app's count of rounds opened, not at 0.
 """
 from __future__ import annotations
 
@@ -419,7 +422,8 @@ def build_main_program(params: BondParams) -> StatefulProgram:
     def approval(ctx: CallContext) -> None:
         oc = ctx.on_complete
         if oc is OnComplete.OPT_IN:
-            ctx.local_put(ctx.sender, KEY_COUPONS_PAID, 0)
+            returning = ctx.asset_balance(ctx.sender, ctx.config(CFG_BOND_ASSET)) > 0
+            ctx.local_put(ctx.sender, KEY_COUPONS_PAID, ctx.global_uint(KEY_COUPONS_PAID) if returning else 0)
             ctx.local_put(ctx.sender, KEY_TRADE, 0)
             ctx.local_put(ctx.sender, KEY_FROZEN, 0)
             return

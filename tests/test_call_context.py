@@ -211,6 +211,11 @@ UNKNOWN = Rejection("unknown_address", {"address": "ghost"})
 NOT_OPTED_IN = Rejection("app_rejected", {"app": APP, "code": "not_opted_in", "account": "carol"})
 
 
+def at(txn_index: int, rejection: Rejection) -> Rejection:
+    """`rejection` as the group's leg `txn_index` earns it."""
+    return Rejection(rejection.code, {"txn_index": txn_index, **rejection.detail})
+
+
 @LEDGERS
 @pytest.mark.parametrize(
     "handler, expected",
@@ -222,7 +227,7 @@ NOT_OPTED_IN = Rejection("app_rejected", {"app": APP, "code": "not_opted_in", "a
         (local_then_global, GLOBAL_OVERFLOW),
         (two_bad_locals, LOCAL_OVERFLOW),
         (bad_then_good, UNKNOWN),
-        (bad_then_deny, Rejection("app_rejected", {"txn_index": 1, "app": APP, "code": "denied_after", "at": 1})),
+        (bad_then_deny, Rejection("app_rejected", {"app": APP, "code": "denied_after", "at": 1})),
     ],
     ids=lambda value: getattr(value, "__name__", None) or str(value),
 )
@@ -230,7 +235,7 @@ def test_a_bad_write_is_reported_after_the_handler_returns(ledger_cls, handler, 
     ledger = world(ledger_cls, {b"go": handler, b"ok": lambda ctx: ctx.global_put(b"g0", 0)})
     before = ledger.observable_state()
     group = [call("bob", b"ok"), call("alice", b"go", accounts=("carol", "ghost"))]
-    assert ledger.submit_group(group).rejection == expected
+    assert ledger.submit_group(group).rejection == at(1, expected)
     assert ledger.observable_state() == before
 
 
@@ -240,7 +245,7 @@ def test_an_approved_clear_state_call_reports_its_bad_write(ledger_cls, handler,
     ledger = world(ledger_cls, {}, handler)
     before = ledger.observable_state()
     result = ledger.submit_group([AppCall("alice", APP, OnComplete.CLEAR_STATE, accounts=("ghost",))])
-    assert result.rejection == expected
+    assert result.rejection == at(0, expected)
     assert ledger.observable_state() == before
 
 
@@ -276,7 +281,7 @@ def uint_out_of_range(local=False):
 def test_a_uint_written_out_of_range_is_a_bad_write(value, local):
     ledger = world(Ledger, {b"go": out_of_range(value, local)})
     before = ledger.observable_state()
-    assert ledger.submit_group([call("alice", b"go")]).rejection == uint_out_of_range(local)
+    assert ledger.submit_group([call("alice", b"go")]).rejection == at(0, uint_out_of_range(local))
     assert ledger.observable_state() == before
 
 
@@ -294,7 +299,7 @@ def test_a_uint64_or_bytes_write_is_in_range(value, local):
         (overflow_local, LOCAL_OVERFLOW),
         (write_unknown, UNKNOWN),
         (write_not_opted_in, NOT_OPTED_IN),
-        (lambda ctx: ctx.deny("denied"), Rejection("app_rejected", {"txn_index": 0, "app": APP, "code": "denied"})),
+        (lambda ctx: ctx.deny("denied"), Rejection("app_rejected", {"app": APP, "code": "denied"})),
         (out_of_range(2**64, local=True), uint_out_of_range()),
     ],
     ids=["global overflow", "local overflow", "unknown", "not opted in", "denial", "second out of range"],
@@ -302,7 +307,7 @@ def test_a_uint64_or_bytes_write_is_in_range(value, local):
 def test_every_other_bad_write_comes_before_an_out_of_range_uint(then, expected):
     ledger = world(Ledger, {b"go": out_of_range_then(then)})
     before = ledger.observable_state()
-    assert ledger.submit_group([call("alice", b"go", accounts=("carol", "ghost"))]).rejection == expected
+    assert ledger.submit_group([call("alice", b"go", accounts=("carol", "ghost"))]).rejection == at(0, expected)
     assert ledger.observable_state() == before
 
 
@@ -314,4 +319,4 @@ def test_an_out_of_range_uint_after_a_bad_write_keeps_the_first(first):
 
     ledger = world(Ledger, {b"go": handler})
     expected = NOT_OPTED_IN if first is write_not_opted_in else GLOBAL_OVERFLOW
-    assert ledger.submit_group([call("alice", b"go", accounts=("carol",))]).rejection == expected
+    assert ledger.submit_group([call("alice", b"go", accounts=("carol",))]).rejection == at(0, expected)

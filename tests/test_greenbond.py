@@ -869,19 +869,26 @@ def test_bond_supply_conserved_through_lifecycle(env):
 # the coupon counter travels with the bonds
 
 
-def sold_after_round_one(env):
+def holding_twenty(env):
     """`seller` and `other` hold 10 bonds each; the escrow holds 6,000 USD,
-    two rounds plus principal for 20 bonds; at t=300 `seller` claims round 1
-    and then sells all 10 bonds to a fresh `buyer` through an offer."""
+    two rounds plus principal for 20 bonds; the clock is in round 1's claims."""
     dep = env.deploy()  # 100 USD per bond per round, 2 rounds
     led = env.ledger
-    seller, other, buyer = env.investor("seller"), env.investor("other"), env.investor("buyer")
+    seller, other = env.investor("seller"), env.investor("other")
     led.advance_time(100)
     assert gb.submit_buy(led, dep, seller, 10 * UNIT).approved
     assert gb.submit_buy(led, dep, other, 10 * UNIT).approved
     assert gb.submit_fund_escrow(led, dep, env.issuer, 6_000 * USD).approved
     led.advance_time(300)
-    assert gb.submit_coupon(led, dep, seller).approved
+    return dep, seller, other
+
+
+def sold_after_round_one(env):
+    """`holding_twenty`, then `seller` claims round 1 and sells all 10 bonds to
+    a fresh `buyer` through an offer."""
+    dep, seller, other = holding_twenty(env)
+    buyer = env.investor("buyer")
+    assert gb.submit_coupon(env.ledger, dep, seller).approved
     sell(env, dep, seller, buyer, 10 * UNIT)
     return dep, seller, other, buyer
 
@@ -951,3 +958,55 @@ def test_a_self_trade_keeps_the_count(env):
 
     assert gb.investor_local_state(env.ledger, dep, buyer) == before  # the allowance set is spent again
     assert env.ledger.asset_balance(buyer, dep.bond_asset_id) == 10 * UNIT
+
+
+# ---------------------------------------------------------------------------
+# a holder who leaves the main app and comes back keeps its bonds, not its counter
+
+LEAVE = pytest.mark.parametrize("leave", [OnComplete.CLOSE_OUT, OnComplete.CLEAR_STATE], ids=["close_out", "clear"])
+
+
+def leave_and_return(env, dep, holder, leave):
+    """Close out of (or clear) the main app, opt in again, and be re-approved."""
+    led = env.ledger
+    assert led.submit_group([AppCall(holder, dep.main_app_id, leave)]).approved
+    assert led.submit_group([AppCall(holder, dep.main_app_id, OnComplete.OPT_IN)]).approved
+    assert gb.submit_freeze_account(led, dep, env.regulator, holder, 1).approved
+
+
+@LEAVE
+def test_a_holder_back_after_leaving_is_not_paid_a_round_twice(env, leave):
+    dep, seller, other = holding_twenty(env)
+    led = env.ledger
+    assert gb.submit_coupon(led, dep, seller).approved
+    leave_and_return(env, dep, seller, leave)
+    assert coupons_paid(env, dep, seller) == 1
+
+    refused = gb.submit_coupon(led, dep, seller)
+
+    detail = {"txn_index": 0, "app": dep.main_app_id, "code": "nothing_claimable", "coupons_paid": 1, "claimable": 1}
+    assert refused.rejection == Rejection("app_rejected", detail)
+    assert gb.submit_coupon(led, dep, other).approved
+    assert env.escrow_funds() == 4_000 * USD  # round 2 and principal for 20 bonds
+    assert gb.main_global_state(led, dep)[1] == 0
+
+
+@LEAVE
+def test_a_holder_who_left_before_claiming_loses_only_the_rounds_opened(env, leave):
+    dep, seller, other = holding_twenty(env)
+    led = env.ledger
+    leave_and_return(env, dep, seller, leave)
+    assert coupons_paid(env, dep, seller) == 0  # no round opened yet: nothing lost
+    assert gb.submit_coupon(led, dep, other).approved  # opens round 1
+    leave_and_return(env, dep, seller, leave)
+
+    assert coupons_paid(env, dep, seller) == 1
+    assert gb.submit_coupon(led, dep, seller).reason() == "app_rejected:nothing_claimable"
+    led.advance_time(400)
+    cash = led.asset_balance(seller, env.stablecoin)
+    for holder in (seller, other):
+        assert gb.submit_coupon(led, dep, holder).approved
+        assert gb.submit_principal(led, dep, holder).approved
+    assert led.asset_balance(seller, env.stablecoin) - cash == 2_000 * USD  # round 2 and principal for 10 bonds
+    # the seller's forfeited round 1 stays reserved in the escrow
+    assert env.escrow_funds() == gb.main_global_state(led, dep)[1] == 1_000 * USD
