@@ -17,8 +17,9 @@ escrows:
 Each escrow signs a leg only where an action's group shape has it sign that
 leg: under a NoOp main-app head naming the action, in a group of the shape's
 size, so that the action's checks, run from the head, hold every other pin.
-Issuance is such an action too: the operator's setup call, which the main
-app approves once, has the bond escrow pull the whole supply.
+Issuance takes the same path: the operator links the apps, funds the
+contract accounts, and sends the setup call, which the main app approves
+once, and under which the bond escrow pulls the whole supply.
 
 The bond asset is minted frozen, so holders can never move it directly;
 0 means "frozen/blocked" for both the global and per-account approval
@@ -71,8 +72,6 @@ UNIT = 1_000_000  # base units per whole bond and per stablecoin dollar
 BOND_DECIMALS = 6
 
 MAIN_APP_MIN_BALANCE = 184_000
-MANAGE_APP_BASE_MIN_BALANCE = 100_000
-MANAGE_APP_PER_SLOT_MIN_BALANCE = 50_000
 
 # operator funding wired to the contract accounts at issuance: each escrow
 # ends up holding exactly its base minimum after paying the setup fees
@@ -104,7 +103,6 @@ ACT_DEFAULT = b"default"
 
 # manage app actions
 ACT_RATE = b"rate"
-ACT_DEFAULTED = b"defaulted"
 ACT_NOT_DEFAULTED = b"not_defaulted"
 ACT_CLAIM_DEFAULT = b"claim_default"
 
@@ -391,7 +389,8 @@ class _Shape:
     """An action's legs in group order, and its cost rows (the index of the
     leg whose sender pays -> the row's label).  `build(dep, actor, **own)`
     makes the group.  `costs`: per row, (payer leg, label, the legs with the
-    payer leg's `sender` pin, whose fees it pays, and its escrow refunds)."""
+    payer leg's `sender` pin, whose fees it pays, and its payments into an
+    escrow: fee refunds, or issuance's funding)."""
 
     def __init__(self, labels: dict, *legs: _Leg):
         self.legs, self.costs = legs, []
@@ -499,8 +498,24 @@ def _surrender(action: bytes, check: bytes, label: str, payout: str) -> _Shape:
     )
 
 
-# issuance, approved once: the bond escrow pulls the minted supply from the
-# operator and seeds the stablecoin escrow's minimum balance
+def _link(app: str, peer: str) -> _Leg:
+    """A deployment-time update of an app: the bond, both escrows and its peer
+    app into its configuration, then the one-shot finalize."""
+    config = {CFG_BOND_ASSET: "$bond_asset", CFG_BOND_ESCROW: "$bond_escrow",
+              CFG_STABLECOIN_ESCROW: "$stablecoin_escrow", CFG_PEER_APP: peer}
+    pairs = "".join(f" {key.encode('ascii')!r}, str({value}).encode('ascii')," for key, value in config.items())
+    args = f"(b'configure',{pairs} b'finalize')"
+    return _Leg(AppCall, sender="$actor", app_id=app, on_complete="UPDATE_APPLICATION", args=args)
+
+
+# issuance, in three groups: the operator links both apps, then funds the
+# contract accounts through the bond escrow, then sets up, which the main app
+# approves once: the bond escrow pulls the minted supply from the operator and
+# seeds the stablecoin escrow's minimum balance
+_LINK = _Shape({0: ROW_UPDATE_APPS}, _link("$main_app", "$manage_app"), _link("$manage_app", "$main_app"))
+_FUND_CONTRACTS = _Shape(
+    {0: ROW_FUND_ESCROWS}, _Leg(Payment, sender="$actor", receiver="$bond_escrow", amount="$funding")
+)
 _SETUP = _Shape(
     {},
     _main_call(ACT_SETUP),
@@ -865,35 +880,21 @@ def _manage_claim_default(ctx: CallContext, params: BondParams) -> None:
     _CLAIM_DEFAULT_PAYOUT.require(ctx, params, "bad_payout", payout=payout)
 
 
-def _manage_defaulted(ctx: CallContext, params: BondParams) -> None:
-    main_app = ctx.app_config.get(CFG_PEER_APP)
-    circulation = _circulation(ctx, params)
-    if circulation == 0:
-        ctx.deny("not_in_default", available=_escrow_funds(ctx, params))
-    funds = _escrow_funds(ctx, params)
-    reserve = ctx.global_uint(KEY_RESERVE, app_id=main_app)
-    if funds >= reserve + _next_obligation(ctx, params, main_app, circulation):
-        ctx.deny("not_in_default", available=funds)
-
-
 def _manage_opt_in(ctx: CallContext) -> None:
     ctx.deny("no_local_state")
 
 
 def build_manage_program(params: BondParams) -> StatefulProgram:
-    slots = rating_slot_count(params.coupon_rounds)
     dispatch = {
         ACT_RATE: _manage_rate,
         ACT_NOT_DEFAULTED: _manage_not_defaulted,
         ACT_CLAIM_DEFAULT: _manage_claim_default,
-        ACT_DEFAULTED: _manage_defaulted,
     }
+    # no stated minimum-balance entries: the schema's price applies
     return StatefulProgram(
         name="green-bond-manage",
-        schema=StateSchema(global_bytes=slots),
+        schema=StateSchema(global_bytes=rating_slot_count(params.coupon_rounds)),
         approval=_approval(params, dispatch, _manage_opt_in),
-        min_balance_create=MANAGE_APP_BASE_MIN_BALANCE + MANAGE_APP_PER_SLOT_MIN_BALANCE * slots,
-        min_balance_opt_in=MANAGE_APP_BASE_MIN_BALANCE,
     )
 
 
@@ -922,14 +923,6 @@ def _escrow_program(name: str, main_app_id: int, signed: dict) -> StatelessProgr
 # issuance
 
 
-def _configure_args(pairs: dict) -> tuple:
-    args = [b"configure"]
-    for key, value in pairs.items():
-        args.append(key.encode("ascii"))
-        args.append(str(value).encode("ascii"))
-    return (*args, b"finalize")
-
-
 def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployment:
     """Mint the bond asset, deploy and cross-link both apps and both escrows,
     move the supply into the bond escrow, and leave the bond awaiting
@@ -937,13 +930,7 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
     params.validate()
     ledger.asset(params.stablecoin_id)
     main, manage = build_main_program(params), build_manage_program(params)
-    required = (
-        ESCROW_FUNDING
-        + 7 * FLAT_FEE
-        + ASSET_CREATE_MIN_BALANCE
-        + main.min_balance_create
-        + manage.min_balance_create
-    )
+    required = ESCROW_FUNDING + 7 * FLAT_FEE + ASSET_CREATE_MIN_BALANCE + main.create_entry + manage.create_entry
     spendable = ledger.algo_balance(operator) - ledger.min_balance(operator)
     if spendable < required:
         raise InsufficientBalance(
@@ -951,9 +938,9 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
         )
 
     main_id = ledger.register_app(main, operator)
-    ledger.cost.record(operator, ROW_DEPLOY_MAIN, min_delta=main.min_balance_create, fee=FLAT_FEE, tag=main_id)
+    ledger.cost.record(operator, ROW_DEPLOY_MAIN, min_delta=main.create_entry, fee=FLAT_FEE, tag=main_id)
     manage_id = ledger.register_app(manage, operator)
-    ledger.cost.record(operator, ROW_DEPLOY_MANAGE, min_delta=manage.min_balance_create, fee=FLAT_FEE, tag=main_id)
+    ledger.cost.record(operator, ROW_DEPLOY_MANAGE, min_delta=manage.create_entry, fee=FLAT_FEE, tag=main_id)
 
     sc_program = _escrow_program("stablecoin-escrow", main_id, _SIGNED[_BY_STABLECOIN_ESCROW["signature"]])
     sc_escrow = ledger.register_contract_account(sc_program)
@@ -968,31 +955,10 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
         clawback_addr=bond_escrow,
     )
     ledger.cost.record(operator, ROW_CREATE_ASA, min_delta=ASSET_CREATE_MIN_BALANCE, fee=FLAT_FEE, tag=main_id)
-
-    config = {CFG_BOND_ASSET: asset_id, CFG_BOND_ESCROW: bond_escrow, CFG_STABLECOIN_ESCROW: sc_escrow}
-    updates = [
-        AppCall(
-            sender=operator,
-            app_id=app_id,
-            on_complete=UPDATE_APPLICATION,
-            args=_configure_args({**config, CFG_PEER_APP: peer}),
-        )
-        for app_id, peer in ((main_id, manage_id), (manage_id, main_id))
-    ]
-    _submit_or_raise(ledger, updates, "linking applications")
-    ledger.cost.record(operator, ROW_UPDATE_APPS, fee=2 * FLAT_FEE, tag=main_id)
-
     # contract accounts hold their assets by construction; the published cost
     # table prices these holdings at zero
     ledger.grant_holding(bond_escrow, asset_id)
     ledger.grant_holding(sc_escrow, params.stablecoin_id)
-
-    _submit_or_raise(
-        ledger,
-        [Payment(sender=operator, receiver=bond_escrow, amount=ESCROW_FUNDING)],
-        "funding contract accounts",
-    )
-    ledger.cost.record(operator, ROW_FUND_ESCROWS, amount=ESCROW_FUNDING, fee=FLAT_FEE, tag=main_id)
 
     dep = BondDeployment(
         bond_asset_id=asset_id,
@@ -1004,16 +970,17 @@ def issue(ledger: Ledger, params: BondParams, operator: Address) -> BondDeployme
         bond_escrow_lsig=LogicSig(bond_program),
         stablecoin_escrow_lsig=LogicSig(sc_program),
     )
-    setup = _SETUP.build(dep, operator, supply=params.supply_base_units, seed=ESCROW_SEED)
-    _submit_or_raise(ledger, setup, "moving supply into escrow")
+    for stage, shape, own in (
+        ("linking applications", _LINK, {}),
+        ("funding contract accounts", _FUND_CONTRACTS, {"funding": ESCROW_FUNDING}),
+        ("moving supply into escrow", _SETUP, {"supply": params.supply_base_units, "seed": ESCROW_SEED}),
+    ):
+        result = _submit(ledger, dep, shape, shape.build(dep, operator, **own))
+        if not result.approved:
+            raise ProtocolError(f"issuance failed while {stage}: {result.reason()}")
+    # the published figure charges both of the setup's escrow-signed legs to the operator
     ledger.cost.record(operator, ROW_CONFIGURE, fee=2 * FLAT_FEE, tag=main_id)
     return dep
-
-
-def _submit_or_raise(ledger: Ledger, txns, stage: str) -> None:
-    result = ledger.submit_group(txns)
-    if result.rejected:
-        raise ProtocolError(f"issuance failed while {stage}: {result.reason()}")
 
 
 # ---------------------------------------------------------------------------
@@ -1132,7 +1099,7 @@ def investor_local_state(ledger: Ledger, dep: BondDeployment, investor: Address)
 
 def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: TransactionGroup) -> SubmitResult:
     """Submit an action's group; once approved, record each payer's row: its
-    fees plus the fee refunds it paid the escrows."""
+    fees plus what it paid into the escrows."""
     result = ledger.submit_group(group)
     if result.approved:
         txns = group.txns
@@ -1150,17 +1117,17 @@ def register_investor(ledger: Ledger, dep: BondDeployment, investor: Address) ->
     """Opt the investor into the bond asset and the main app (both paid by
     the investor), recording the two opt-in cost rows."""
     result = ledger.opt_in_asset(investor, dep.bond_asset_id)
-    if result.rejected:
+    if result.approved:
+        ledger.cost.record(
+            investor, ROW_OPT_IN_ASA, min_delta=ASSET_OPT_IN_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
+        )
+    elif result.rejection.code != "already_opted_in":
         return result
-    ledger.cost.record(
-        investor, ROW_OPT_IN_ASA, min_delta=ASSET_OPT_IN_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
-    )
     result = ledger.submit_group([AppCall(investor, dep.main_app_id, OPT_IN)])
-    if result.rejected:
-        return result
-    ledger.cost.record(
-        investor, ROW_OPT_IN_APP, min_delta=MAIN_APP_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
-    )
+    if result.approved:
+        ledger.cost.record(
+            investor, ROW_OPT_IN_APP, min_delta=MAIN_APP_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
+        )
     return result
 
 

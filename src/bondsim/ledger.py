@@ -237,8 +237,6 @@ class _AppCode:
     creator: Address
     global_cap: int  # most global keys the app may hold
     local_cap: int  # most local keys it may hold per account
-    create_entry: int  # the creator's minimum-balance entry
-    opt_in_entry: int  # each opted-in account's
 
 
 class _LedgerState:
@@ -334,14 +332,6 @@ class LogEntry:
 
 # ---------------------------------------------------------------------------
 # cost accounting
-
-
-def _app_entry(stated: Optional[int], uints: int, byte_slices: int) -> int:
-    """An app's minimum-balance entry: the program's stated value, or else its
-    schema's price."""
-    if stated is not None:
-        return stated
-    return 100_000 + 28_500 * uints + 50_000 * byte_slices
 
 
 @dataclass(slots=True)
@@ -516,14 +506,12 @@ class Ledger:
     # -- applications --------------------------------------------------------
 
     def register_app(self, program: StatefulProgram, creator: Address) -> int:
-        s = program.schema
-        create = _app_entry(program.min_balance_create, s.global_uints, s.global_bytes)
-        self._charge_creation(creator, create, "app creation")
+        self._charge_creation(creator, program.create_entry, "app creation")
         app_id = self._next_app
         self._next_app += 1
+        s = program.schema
         caps = min(s.global_keys, MAX_GLOBAL_KEYS), min(s.local_keys, MAX_LOCAL_KEYS)
-        opt_in = _app_entry(program.min_balance_opt_in, s.local_uints, s.local_bytes)
-        self._app_code[app_id] = _AppCode(app_id, program, creator, *caps, create, opt_in)
+        self._app_code[app_id] = _AppCode(app_id, program, creator, *caps)
         self._state.apps[app_id] = AppState()
         return app_id
 
@@ -728,7 +716,7 @@ class Ledger:
                 raise _Reject("already_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
             undo.put(acc.local, txn.app_id, {})
-            acc.min_extra += code.opt_in_entry
+            acc.min_extra += program.opt_in_entry
 
         if oc is CLEAR_STATE:
             self._clear_state(undo, code, group, idx)
@@ -755,10 +743,10 @@ class Ledger:
                 raise _Reject("not_opted_in", txn_index=idx)
             acc = undo.account(txn.sender)
             undo.drop(acc.local, txn.app_id)
-            acc.min_extra -= code.opt_in_entry
+            acc.min_extra -= program.opt_in_entry
         elif oc is DELETE_APPLICATION:
             undo.drop(st.apps, txn.app_id)
-            undo.account(code.creator).min_extra -= code.create_entry
+            undo.account(code.creator).min_extra -= program.create_entry
 
     def _clear_state(self, undo: _Undo, code: _AppCode, group: TransactionGroup, idx: int) -> None:
         """A clear-state call removes the local state, approved or not; only an
@@ -783,7 +771,7 @@ class Ledger:
             raise _Reject(*ctx.bad_write, txn_index=idx)
         acc = undo.account(txn.sender)
         undo.drop(acc.local, txn.app_id)
-        acc.min_extra -= code.opt_in_entry
+        acc.min_extra -= code.program.opt_in_entry
 
     def _check_min_balances(self, undo: _Undo) -> None:
         """Every account the group saved must keep its minimum balance, but for

@@ -132,7 +132,8 @@ class StatefulProgram:
 
     `min_balance_create` / `min_balance_opt_in` state the minimum-balance
     entries the app's creator and each opted-in account lock; None means
-    "price the schema" (see `ledger.Ledger.register_app`).
+    "price the schema".  `create_entry` / `opt_in_entry` are the entries
+    locked: the stated value, or else the schema's price.
     """
 
     name: str
@@ -141,6 +142,18 @@ class StatefulProgram:
     clear_state: Optional[Callable[["CallContext"], None]] = None
     min_balance_create: Optional[int] = None
     min_balance_opt_in: Optional[int] = None
+
+    @staticmethod
+    def _entry(stated: Optional[int], uints: int, byte_slices: int) -> int:
+        return stated if stated is not None else 100_000 + 28_500 * uints + 50_000 * byte_slices
+
+    @cached_property
+    def create_entry(self) -> int:
+        return self._entry(self.min_balance_create, self.schema.global_uints, self.schema.global_bytes)
+
+    @cached_property
+    def opt_in_entry(self) -> int:
+        return self._entry(self.min_balance_opt_in, self.schema.local_uints, self.schema.local_bytes)
 
 
 class CallContext:

@@ -329,7 +329,7 @@ class CloneLedger(Ledger):
             if txn.app_id in acc.local:
                 raise _Reject("already_opted_in", txn_index=idx)
             acc.local[txn.app_id] = {}
-            acc.min_extra += code.opt_in_entry
+            acc.min_extra += code.program.opt_in_entry
 
         ctx = CallContext(
             app_id=txn.app_id,
@@ -358,7 +358,7 @@ class CloneLedger(Ledger):
             if denied is None:
                 self._ref_commit_app_writes(st, code, ctx, idx, touched)
             del acc.local[txn.app_id]
-            acc.min_extra -= code.opt_in_entry
+            acc.min_extra -= code.program.opt_in_entry
             return
 
         if denied is not None:
@@ -372,11 +372,11 @@ class CloneLedger(Ledger):
             if txn.app_id not in acc.local:
                 raise _Reject("not_opted_in", txn_index=idx)
             del acc.local[txn.app_id]
-            acc.min_extra -= code.opt_in_entry
+            acc.min_extra -= code.program.opt_in_entry
         elif oc is OnComplete.DELETE_APPLICATION:
             del st.apps[txn.app_id]
             creator_acc = st.accounts[code.creator]
-            creator_acc.min_extra -= code.create_entry
+            creator_acc.min_extra -= code.program.create_entry
             touched.add(code.creator)
 
     def _ref_commit_app_writes(self, st, code, ctx, idx, touched):

@@ -19,6 +19,10 @@ alike:
 * an opt-in by an account that already holds bonds, which only a holder
   back after a close-out or clear-state can, starts its counter at the main
   app's count of rounds opened, not at 0.
+Some pieces were removed later, here and in `bondsim.greenbond` alike:
+* the manage app's `defaulted` action, which no group used;
+* the manage app's stated minimum-balance entries, which equal its schema's
+  price.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from bondsim.greenbond import (
     ACT_CLAIM_DEFAULT,
     ACT_COUPON,
     ACT_DEFAULT,
-    ACT_DEFAULTED,
     ACT_FREEZE,
     ACT_FREEZE_ALL,
     ACT_NOT_DEFAULTED,
@@ -46,8 +49,6 @@ from bondsim.greenbond import (
     KEY_RESERVE,
     KEY_TRADE,
     MAIN_APP_MIN_BALANCE,
-    MANAGE_APP_BASE_MIN_BALANCE,
-    MANAGE_APP_PER_SLOT_MIN_BALANCE,
     TOP_RATING,
     UNIT,
     BondDeployment,
@@ -544,24 +545,12 @@ def _manage_claim_default(ctx: CallContext, params: BondParams) -> None:
     )
 
 
-def _manage_defaulted(ctx: CallContext, params: BondParams) -> None:
-    main_app = ctx.config(CFG_PEER_APP)
-    circulation = _circulation(ctx, params)
-    if circulation == 0:
-        ctx.deny("not_in_default", available=_escrow_funds(ctx, params))
-    funds = _escrow_funds(ctx, params)
-    reserve = ctx.global_uint(KEY_RESERVE, app_id=main_app)
-    if funds >= reserve + _next_obligation(ctx, params, main_app, circulation):
-        ctx.deny("not_in_default", available=funds)
-
-
 def build_manage_program(params: BondParams) -> StatefulProgram:
     slots = rating_slot_count(params.coupon_rounds)
     dispatch = {
         ACT_RATE: _manage_rate,
         ACT_NOT_DEFAULTED: _manage_not_defaulted,
         ACT_CLAIM_DEFAULT: _manage_claim_default,
-        ACT_DEFAULTED: _manage_defaulted,
     }
 
     def approval(ctx: CallContext) -> None:
@@ -583,8 +572,6 @@ def build_manage_program(params: BondParams) -> StatefulProgram:
         name="green-bond-manage",
         schema=StateSchema(global_bytes=slots),
         approval=approval,
-        min_balance_create=MANAGE_APP_BASE_MIN_BALANCE + MANAGE_APP_PER_SLOT_MIN_BALANCE * slots,
-        min_balance_opt_in=MANAGE_APP_BASE_MIN_BALANCE,
     )
 
 

@@ -7,7 +7,7 @@ import types
 import pytest
 
 from bondsim import greenbond as gb
-from bondsim.greenbond import ESCROW_SEED, UNIT
+from bondsim.greenbond import ESCROW_FUNDING, ESCROW_SEED, UNIT
 
 SHAPES = {name: shape for name, shape in vars(gb).items() if isinstance(shape, gb._Shape)}
 
@@ -36,6 +36,8 @@ def operands(env):
     actor, other = env.investor("actor"), env.investor("other")
     offer = gb.make_trade_offer(dep, actor, 90 * UNIT, expiry=300)
     own = {
+        "_LINK": dict(),
+        "_FUND_CONTRACTS": dict(funding=ESCROW_FUNDING),
         "_SETUP": dict(supply=dep.params.supply_base_units, seed=ESCROW_SEED),
         "_FREEZE_ALL": dict(value=1),
         "_FREEZE": dict(target=other, value=0),

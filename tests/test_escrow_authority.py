@@ -22,7 +22,7 @@ import itertools
 import pytest
 
 from bondsim import greenbond as gb
-from bondsim.ledger import AppCall, AssetTransfer, Payment, TransactionGroup
+from bondsim.ledger import APPROVED, AppCall, AssetTransfer, Payment, TransactionGroup
 from bondsim.programs import OnComplete, StatefulProgram, StateSchema, eval_logic_signature
 
 UNIT = gb.UNIT
@@ -180,19 +180,19 @@ def before_setup(env):
     """A deployment whose issuance stopped just before its setup group, and
     that group, as `issue` builds it."""
     held = []
-    submit = gb._submit_or_raise
+    submit = gb._submit
 
-    def hold_setup(ledger, txns, stage):
-        if stage == "moving supply into escrow":
-            held.append(txns)
-        else:
-            submit(ledger, txns, stage)
+    def hold_setup(ledger, dep, shape, group):
+        if shape is gb._SETUP:
+            held.append(group)
+            return APPROVED
+        return submit(ledger, dep, shape, group)
 
-    gb._submit_or_raise = hold_setup
+    gb._submit = hold_setup
     try:
         dep = env.deploy(approve=False)
     finally:
-        gb._submit_or_raise = submit
+        gb._submit = submit
     (setup,) = held
     return dep, setup
 

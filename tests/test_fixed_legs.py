@@ -13,7 +13,7 @@ from dataclasses import astuple, replace
 import pytest
 
 from bondsim import greenbond as gb
-from bondsim.greenbond import ESCROW_SEED, UNIT
+from bondsim.greenbond import ESCROW_FUNDING, ESCROW_SEED, UNIT
 from bondsim.programs import LogicSig
 
 from conftest import BondEnv
@@ -22,7 +22,10 @@ from test_builders import SHAPES, keyword_build
 
 USD = UNIT
 # the legs of each shape that take no operand of the action and no earlier leg
-FIXED = {"_SETUP": (0,), "_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5), "_DEFAULT": (0, 1, 4, 5)}
+FIXED = {
+    "_LINK": (0, 1), "_SETUP": (0,), "_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5),
+    "_DEFAULT": (0, 1, 4, 5),
+}
 
 
 def cached_ids(dep) -> set:
@@ -32,6 +35,8 @@ def cached_ids(dep) -> set:
 def own_operands(dep, actor, other) -> dict:
     offer = gb.make_trade_offer(dep, actor, 90 * UNIT, expiry=300)
     return {
+        "_LINK": dict(),
+        "_FUND_CONTRACTS": dict(funding=ESCROW_FUNDING),
         "_SETUP": dict(supply=dep.params.supply_base_units, seed=ESCROW_SEED),
         "_FREEZE_ALL": dict(value=1),
         "_FREEZE": dict(target=other, value=0),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bondsim import greenbond as gb
 from bondsim.ledger import AppCall, AssetTransfer, Payment, Rejection
-from bondsim.programs import OnComplete
+from bondsim.programs import OnComplete, StatefulProgram, StateSchema
 
 UNIT = gb.UNIT
 USD = UNIT  # stablecoin base units per dollar
@@ -184,6 +184,40 @@ def test_update_after_finalization_denied(env):
         ]
     )
     assert result.rejected and result.rejection.detail["code"] == "finalized"
+
+
+def test_issuance_submits_link_fund_and_setup_through_their_shapes(env, monkeypatch):
+    """Issuance takes the actions' one path, `_submit`, whose rows are the
+    groups' fees and payment."""
+    submitted = []
+    submit = gb._submit
+
+    def spy(ledger, dep, shape, group):
+        submitted.append((shape, group.txns))
+        return submit(ledger, dep, shape, group)
+
+    monkeypatch.setattr(gb, "_submit", spy)
+    dep = env.deploy(approve=False)
+
+    assert [shape for shape, _ in submitted] == [gb._LINK, gb._FUND_CONTRACTS, gb._SETUP]
+    (_, link), (_, fund), _ = submitted
+    assert [(t.app_id, t.on_complete) for t in link] == [
+        (dep.main_app_id, OnComplete.UPDATE_APPLICATION), (dep.manage_app_id, OnComplete.UPDATE_APPLICATION)
+    ]
+    assert (fund[0].receiver, fund[0].amount) == (dep.bond_escrow, gb.ESCROW_FUNDING)
+    rows = {r.label: r for r in env.ledger.cost.rows_for(env.operator, tag=dep.main_app_id)}
+    updates, funding = rows[gb.ROW_UPDATE_APPS], rows[gb.ROW_FUND_ESCROWS]
+    assert (updates.amount, updates.min_delta, updates.fee) == (0, 0, sum(t.fee for t in link))
+    assert (funding.amount, funding.min_delta, funding.fee) == (fund[0].amount, 0, fund[0].fee)
+
+
+def test_a_refused_issuance_group_raises_with_its_stage(env, monkeypatch):
+    def refusing_main_program(params):
+        return StatefulProgram("refuses", StateSchema(), lambda ctx: ctx.deny("refused"))
+
+    monkeypatch.setattr(gb, "build_main_program", refusing_main_program)
+    with pytest.raises(gb.ProtocolError, match="^issuance failed while linking applications: app_rejected:refused$"):
+        env.deploy(approve=False)
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +788,22 @@ def test_sequential_defaults_never_overdraw(env):
         assert paid_total <= available
 
 
+def test_the_manage_app_has_no_defaulted_action(env):
+    """The manage app knows no `defaulted` action: a call naming it is refused,
+    even for an underfunded bond in circulation."""
+    dep = env.deploy(total_bonds=10, coupon_rounds=1, coupon_base=10 * USD, end_buy=200, maturity=400)
+    led = env.ledger
+    holder = env.investor(stablecoin=10**12)
+    led.advance_time(100)
+    assert gb.submit_buy(led, dep, holder, UNIT).approved
+    before = led.observable_state()
+
+    result = led.submit_group([AppCall(holder, dep.manage_app_id, args=(b"defaulted",), accounts=(dep.bond_escrow,))])
+
+    assert result.reason() == "app_rejected:unknown_action"
+    assert led.observable_state() == before
+
+
 # ---------------------------------------------------------------------------
 # ratings
 
@@ -1010,3 +1060,20 @@ def test_a_holder_who_left_before_claiming_loses_only_the_rounds_opened(env, lea
     assert led.asset_balance(seller, env.stablecoin) - cash == 2_000 * USD  # round 2 and principal for 10 bonds
     # the seller's forfeited round 1 stays reserved in the escrow
     assert env.escrow_funds() == gb.main_global_state(led, dep)[1] == 1_000 * USD
+
+
+@LEAVE
+def test_a_holder_back_after_leaving_registers_again(env, leave):
+    """Registration goes on to the app opt-in when the holder already holds the
+    asset, records only the app's row, and the counter starts at the last round
+    opened."""
+    dep, seller, other = holding_twenty(env)
+    led = env.ledger
+    assert gb.submit_coupon(led, dep, other).approved  # opens round 1
+    assert led.submit_group([AppCall(seller, dep.main_app_id, leave)]).approved
+    rows = len(led.cost.rows)
+
+    assert gb.register_investor(led, dep, seller).approved
+
+    assert coupons_paid(env, dep, seller) == gb.main_global_state(led, dep)[0] == 1
+    assert [(r.actor, r.label) for r in led.cost.rows[rows:]] == [(seller, gb.ROW_OPT_IN_APP)]

@@ -4,14 +4,15 @@ and with an attacker among the participants.
 A Hypothesis state machine drives one deployment with four approved
 investors through buys, trades through delegated offers, escrow funding,
 ratings, the passage of time, leaving the main app and coming back, and
-coupon, principal and default claims.  Beside the ledger it keeps a pure
-model of what each holder is owed, written from the protocol's rules rather
-than from its code: the rating-linked coupon (10% more per star below 5,
-compounded, floored), the reserve the main app keeps for a round's slower
-claimants, the coupon counter that a buyer holding no bonds takes from the
-seller, the counter a holder coming back with bonds starts at (the last
-round opened), and the default recovery in proportion to the bonds
-surrendered.
+coupon, principal and default claims; the issuer anchors a report on the use
+of proceeds, then one as each coupon period begins.  Beside the ledger it
+keeps a pure model of what each holder is owed, written from the protocol's
+rules rather than from its code: the rating-linked coupon (10% more per star
+below 5, compounded, floored), the reserve the main app keeps for a round's
+slower claimants, the coupon counter that a buyer holding no bonds takes
+from the seller, the counter a holder coming back with bonds starts at (the
+last round opened), and the default recovery in proportion to the bonds
+surrendered.  It also keeps the content ids of the issuer's reports.
 
 Every honest action must end as the model says, approved or refused with
 the model's code, and every approved payout must be the model's amount.
@@ -36,6 +37,10 @@ in again, and the regulator approves it.  After each group:
   outcome, payout and counter included), or else deposits into the escrow
   and the attacker leaving or rejoining the main app.
 
+Before each attack the attacker also copies the issuer's latest report into
+notes of its own: one under the manage app's prefix, and one under a near
+miss of it ("0<app id>+").  Its listing holds only the former.
+
 After every step:
 
 * the model's holdings, coupon counters, escrow funds and reserve are the
@@ -45,9 +50,11 @@ After every step:
 * every uint in app state lies in [0, 2^64);
 * the bond supply is conserved, and `total_algos() + total_fees_burned()
   == total_minted()`;
-* the stablecoin escrow holds at least the reserve.
+* the stablecoin escrow holds at least the reserve;
+* the issuer's report listing is the model's.
 """
 import dataclasses
+import hashlib
 from collections import Counter, defaultdict
 
 from hypothesis import HealthCheck, settings, strategies as st
@@ -56,6 +63,7 @@ from hypothesis.stateful import (
 )
 
 from bondsim import greenbond as gb
+from bondsim import reports
 from bondsim.ledger import MAX_GROUP_SIZE, AppCall, AssetTransfer, Payment, TransactionGroup
 from bondsim.programs import LogicSig, OnComplete, StatefulProgram, StateSchema
 
@@ -112,6 +120,7 @@ class HonestActors(RuleBasedStateMachine):
         self.funds = self.reserve = self.unlocked = 0
         self.opened = {}  # round -> (its per-bond coupon, the bonds circulating when it opened)
         self.paid_out = defaultdict(int)  # round -> coupons paid in it
+        self.reports = []  # the content ids the issuer anchored, in order
 
     # -- the model's reading of the schedule
 
@@ -233,6 +242,7 @@ class HonestActors(RuleBasedStateMachine):
         self.led.advance_time(START_BUY)
         for investor, count in zip(self.investors, bonds):
             self.buy_for(investor, count * UNIT)
+        self.anchor_due_reports()
 
     @precondition(lambda self: self.now < END_BUY)
     @rule(who=INVESTOR, amount=st.sampled_from([UNIT // 2, UNIT, 3 * UNIT]))
@@ -287,6 +297,16 @@ class HonestActors(RuleBasedStateMachine):
     @rule(step=st.sampled_from([100, 50]))
     def advance(self, step):
         self.led.advance_time(self.now + step)
+        self.anchor_due_reports()
+
+    def anchor_due_reports(self):
+        """The issuer anchors a fresh report on the use of proceeds, then one as
+        each coupon period begins."""
+        begun = 0 if self.now < END_BUY else min(ROUNDS, 1 + (self.now - END_BUY) // PERIOD)
+        while len(self.reports) <= begun:
+            cid = hashlib.sha256(b"report %d" % len(self.reports)).hexdigest()
+            self.expect(gb.submit_report_anchor(self.led, self.dep, self.env.issuer, cid), None, "anchor")
+            self.reports.append(cid)
 
     @precondition(lambda self: self.unlocked)  # from then on a returning holder's counter is not 0
     @rule(who=INVESTOR, leave=st.sampled_from(LEAVE))
@@ -350,6 +370,10 @@ class HonestActors(RuleBasedStateMachine):
     def the_escrow_covers_the_reserve(self):
         assert self.env.escrow_funds() >= gb.main_global_state(self.led, self.dep)[1]
 
+    @invariant()
+    def the_issuer_lists_its_reports(self):
+        assert reports.list_reports(self.led, self.env.issuer, self.dep.manage_app_id) == self.reports
+
 
 class HonestActorsAndAttacker(HonestActors):
     """The honest participants, and an attacker (see the module docstring)."""
@@ -363,6 +387,7 @@ class HonestActorsAndAttacker(HonestActors):
         self.own_app = self.led.register_app(StatefulProgram("own", StateSchema(), lambda ctx: None), self.attacker)
         self.holdings[self.attacker] = self.paid[self.attacker] = 0
         self.attacker_state = "approved"  # or "left" the main app, or opted in again and "pending"
+        self.attacker_reports = []  # the content ids it anchored under the manage app's prefix
 
     @initialize()
     def the_attacker_buys(self):
@@ -376,6 +401,21 @@ class HonestActorsAndAttacker(HonestActors):
         seller = self.investors[seller]
         if self.holdings[seller]:
             self.publish(seller, min(amount, self.holdings[seller]))
+
+    def copy_the_latest_report(self):
+        """The attacker anchors the issuer's latest report, not yet copied, under
+        the manage app's prefix and under a near miss of it."""
+        me, app, cid = self.attacker, self.dep.manage_app_id, self.reports[-1]
+        if cid in self.attacker_reports:
+            return
+        for note in (f"{app}+{cid}", f"0{app}+{cid}"):
+            assert self.led.submit_group([Payment(me, me, 0, note=note.encode("ascii"))]).approved
+        self.attacker_reports.append(cid)
+        seen["attacker anchor"] += 1
+
+    @invariant()
+    def the_attacker_lists_only_its_prefixed_notes(self):
+        assert reports.list_reports(self.led, self.attacker, self.dep.manage_app_id) == self.attacker_reports
 
     def signers(self) -> list:
         """Every (sender, signature) the attacker can sign a leg with."""
@@ -514,6 +554,7 @@ class HonestActorsAndAttacker(HonestActors):
             return data.draw(st.sampled_from(values))
 
         self.readmit_the_attacker()
+        self.copy_the_latest_report()
         txns = self.template(pick)
         for _ in range(pick((0, 1, 2, 3) if txns else (1, 2, 3))):
             txns = self.edit(pick, txns)
@@ -590,7 +631,9 @@ def test_honest_actors_are_paid_what_the_model_owes():
     run_state_machine_as_test(HonestActors, settings=SETTINGS)
     # the runs reached every kind of payout, both trade rules, the refusals that guard them
     # and a holder's return
-    reached = {"coupon", "principal", "default", "adopt", "trade", "coupons_differ", "escrow_shortfall", "rejoin"}
+    reached = {
+        "coupon", "principal", "default", "adopt", "trade", "coupons_differ", "escrow_shortfall", "rejoin", "anchor"
+    }
     assert reached <= set(seen), seen
 
 
@@ -598,5 +641,7 @@ def test_an_attacker_gets_only_what_the_model_allows_it():
     seen.clear()
     run_state_machine_as_test(HonestActorsAndAttacker, settings=SETTINGS)
     # approved attacker groups of each kind the model takes in
-    reached = {"attacker buy", "attacker trade", "attacker coupon", "attacker deposit", "attacker rejoin"}
+    reached = {
+        "attacker buy", "attacker trade", "attacker coupon", "attacker deposit", "attacker rejoin", "attacker anchor"
+    }
     assert reached <= set(seen), seen

@@ -237,6 +237,26 @@ buy bond1 inv1 1
     assert format_costs(runner2) == report
 
 
+def test_a_refused_registration_can_be_retried():
+    """Funded for the asset opt-in but not the app's, the investor is refused
+    at the app opt-in; funded, the same step registers it, and each opt-in
+    is charged once."""
+    text = BASIC_SETUP + """
+create-account inv
+fund-algos inv 300000
+approve-account bond1 inv
+fund-algos inv 1000000
+approve-account bond1 inv
+"""
+    outcome, runner = run_scenario_text(text)
+    assert outcome.exit_code == EXIT_OK, outcome.transcript
+    assert outcome.transcript[-3].startswith("STEP 16 approve-account -> REJECTED(min_balance_violation")
+    assert outcome.transcript[-2:] == ["STEP 17 fund-algos -> APPROVED", "STEP 18 approve-account -> APPROVED"]
+    dep, inv = runner.bonds["bond1"], runner.accounts["inv"]
+    assert runner.ledger.is_opted_in(inv, dep.main_app_id)
+    assert [r.label for r in runner.ledger.cost.rows_for(inv)] == ["Opt into ASA", "Opt into App"]
+
+
 NAME_DEFINERS = {
     "account": "create-account {}",
     "bond": "issue {} operator=operator issuer=issuer verifier=verifier regulator=regulator bonds=10 rounds=1 start-buy=100 end-buy=200 maturity=400 cost=$100 coupon=$10 principal=$100",
