@@ -2,7 +2,6 @@
 
 from .ledger import (
     AppCall,
-    AssetHolding,
     AssetTransfer,
     BASE_MIN_BALANCE,
     FLAT_FEE,
@@ -24,7 +23,6 @@ from .programs import (
     StatefulProgram,
     StatelessProgram,
     StateSchema,
-    contract_account_address,
     eval_logic_signature,
 )
 from .greenbond import (

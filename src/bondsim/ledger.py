@@ -44,14 +44,11 @@ from .programs import (
     Signature,
     StatefulProgram,
     StatelessProgram,
-    contract_account_address,
     eval_logic_signature,
 )
 
 Address = str
-MicroAlgos = int
 
-MICRO_ALGOS_PER_ALGO = 1_000_000
 FLAT_FEE = 1_000
 BASE_MIN_BALANCE = 100_000
 ASSET_CREATE_MIN_BALANCE = 100_000  # the creator's minimum-balance entry for an asset
@@ -107,8 +104,6 @@ class Payment:
     signature: Optional[Signature] = None  # None = sender's own key
     fee: int = FLAT_FEE
     note: bytes = b""
-    valid_from: Optional[int] = None
-    valid_until: Optional[int] = None
 
 
 @_slot_init
@@ -122,8 +117,6 @@ class AssetTransfer:
     signature: Optional[Signature] = None
     fee: int = FLAT_FEE
     note: bytes = b""
-    valid_from: Optional[int] = None
-    valid_until: Optional[int] = None
 
 
 @_slot_init
@@ -138,8 +131,6 @@ class AppCall:
     signature: Optional[Signature] = None
     fee: int = FLAT_FEE
     note: bytes = b""
-    valid_from: Optional[int] = None
-    valid_until: Optional[int] = None
 
 
 Transaction = Union[Payment, AssetTransfer, AppCall]
@@ -204,15 +195,6 @@ class AssetDef:
     decimals: int
     default_frozen: bool
     clawback_addr: Optional[Address]
-
-
-@dataclass(frozen=True)
-class AssetHolding:
-    """Read-only view of one account's position in one asset."""
-
-    asset_id: int
-    balance: int
-    frozen: bool
 
 
 @dataclass
@@ -407,7 +389,7 @@ class Ledger:
         return label
 
     def register_contract_account(self, program: StatelessProgram) -> Address:
-        addr = contract_account_address(program)
+        addr = program.address
         self._state.accounts.setdefault(addr, Account())
         return addr
 
@@ -471,12 +453,6 @@ class Ledger:
 
     def asset_balance(self, addr: Address, asset_id: int) -> int:
         return self._account(addr).holdings.get(asset_id, 0)
-
-    def holding(self, addr: Address, asset_id: int) -> Optional[AssetHolding]:
-        acc = self._account(addr)
-        if asset_id not in acc.holdings:
-            return None
-        return AssetHolding(asset_id, acc.holdings[asset_id], self.asset(asset_id).default_frozen)
 
     def grant_holding(self, addr: Address, asset_id: int) -> None:
         """Create an asset holding as deployment bookkeeping: no fee and no
@@ -606,10 +582,6 @@ class Ledger:
         acc = undo.state.accounts.get(txn.sender)
         if acc is None:
             raise _Reject("unknown_address", address=txn.sender)
-        if txn.valid_from is not None and self._now < txn.valid_from:
-            raise _Reject("clock_window", txn_index=idx)
-        if txn.valid_until is not None and self._now > txn.valid_until:
-            raise _Reject("clock_window", txn_index=idx)
         # a leg signed by its sender's own key that claws nothing back has
         # nothing to authorize
         if txn.signature is not None or (isinstance(txn, AssetTransfer) and txn.revoke_target is not None):
@@ -635,7 +607,7 @@ class Ledger:
             if sig.address != txn.sender:
                 return "bad_signature"
         elif sig is not None:
-            expected = sig.delegator if sig.delegator is not None else contract_account_address(sig.program)
+            expected = sig.delegator if sig.delegator is not None else sig.program.address
             if txn.sender != expected:
                 return "bad_signature"
             if not eval_logic_signature(sig, group, idx, self._now):

@@ -74,10 +74,6 @@ class StatelessProgram:
         return "lsig:" + hashlib.sha256(material).hexdigest()[:24]
 
 
-def contract_account_address(program: StatelessProgram) -> str:
-    return program.address
-
-
 @dataclass(frozen=True)
 class SecretKey:
     """Authorization by the account's own key (modeled, not cryptographic)."""
@@ -104,7 +100,7 @@ Signature = Union[SecretKey, LogicSig]
 def eval_logic_signature(sig: LogicSig, group: "TransactionGroup", txn_index: int, now: int) -> bool:
     """True iff `sig` authorizes transaction `txn_index` of `group` at `now`."""
     txn = group.txns[txn_index]
-    expected = sig.delegator if sig.delegator is not None else contract_account_address(sig.program)
+    expected = sig.delegator if sig.delegator is not None else sig.program.address
     if txn.sender != expected:
         return False
     return bool(sig.program.predicate(group, txn_index, now))
@@ -253,13 +249,6 @@ class CallContext:
             self.deny("account_not_referenced", account=addr)
         acc = self._accounts.get(addr)
         return acc is not None and self.app_id in acc.local
-
-    def local_value(self, addr: str, key: bytes):
-        if addr != self.sender and addr not in self.accounts:
-            self.deny("account_not_referenced", account=addr)
-        acc = self._accounts.get(addr)
-        local = None if acc is None else acc.local.get(self.app_id)
-        return None if local is None else local.get(key)
 
     def local_uint(self, addr: str, key: bytes) -> int:
         if addr != self.sender and addr not in self.accounts:

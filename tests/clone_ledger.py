@@ -238,10 +238,6 @@ class CloneLedger(Ledger):
         acc = st.accounts.get(txn.sender)
         if acc is None:
             raise _Reject("unknown_address", address=txn.sender)
-        if txn.valid_from is not None and self._now < txn.valid_from:
-            raise _Reject("clock_window", txn_index=idx)
-        if txn.valid_until is not None and self._now > txn.valid_until:
-            raise _Reject("clock_window", txn_index=idx)
         auth = self._auth_failure(txn, group, idx)
         if auth is not None:
             raise _Reject(auth, txn_index=idx)

@@ -51,21 +51,21 @@ def test_a_call_reads_its_own_writes_and_the_next_leg_sees_them(ledger_cls):
     seen = []
 
     def read(ctx):
-        seen.append((ctx.global_value(b"g"), ctx.local_value("alice", b"l"), ctx.config("c"), ctx.finalized))
+        seen.append((ctx.global_value(b"g"), ctx.local_uint("alice", b"l"), ctx.config("c"), ctx.finalized))
 
     def write(ctx):
         read(ctx)
         ctx.global_put(b"g", 1)
-        ctx.local_put("alice", b"l", b"two")
+        ctx.local_put("alice", b"l", 2)
         ctx.config_put("c", "three")
         ctx.finalize()
         read(ctx)
 
     ledger = world(ledger_cls, {b"write": write, b"read": read})
     assert ledger.submit_group([call("alice", b"write"), call("bob", b"read", accounts=("alice",))]).approved
-    written = (1, b"two", "three", True)
-    assert seen == [(None, None, None, False), written, written]
-    assert (ledger.app_global(APP, b"g"), ledger.app_local("alice", APP, b"l")) == (1, b"two")
+    written = (1, 2, "three", True)
+    assert seen == [(None, 0, None, False), written, written]
+    assert (ledger.app_global(APP, b"g"), ledger.app_local("alice", APP, b"l")) == (1, 2)
     assert (ledger.app_config(APP, "c"), ledger.app_finalized(APP)) == ("three", True)
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from bondsim import greenbond as gb
 from bondsim import programs
 from bondsim.ledger import Payment, TransactionGroup
-from bondsim.programs import LogicSig, StatelessProgram, contract_account_address, eval_logic_signature
+from bondsim.programs import LogicSig, StatelessProgram, eval_logic_signature
 
 
 def formula_address(program: StatelessProgram) -> str:
@@ -28,9 +28,9 @@ def test_address_matches_the_formula(env):
         dep.stablecoin_escrow_lsig.program,
     ]
     for program in samples:
-        assert contract_account_address(program) == formula_address(program)
-    assert contract_account_address(dep.bond_escrow_lsig.program) == dep.bond_escrow
-    assert contract_account_address(dep.stablecoin_escrow_lsig.program) == dep.stablecoin_escrow
+        assert program.address == formula_address(program)
+    assert dep.bond_escrow_lsig.program.address == dep.bond_escrow
+    assert dep.stablecoin_escrow_lsig.program.address == dep.stablecoin_escrow
 
 
 def _count_hashes(monkeypatch) -> Counter:
@@ -48,10 +48,10 @@ def _count_hashes(monkeypatch) -> Counter:
 def test_repeated_evaluations_hash_once(monkeypatch):
     hashed = _count_hashes(monkeypatch)
     program = StatelessProgram("open", (42,), lambda g, i, n: True)
-    group = TransactionGroup((Payment(sender=contract_account_address(program), receiver="bob", amount=1),))
+    group = TransactionGroup((Payment(sender=program.address, receiver="bob", amount=1),))
     for _ in range(5):
         assert eval_logic_signature(LogicSig(program), group, 0, 0)
-        assert contract_account_address(program) == group.txns[0].sender
+        assert program.address == group.txns[0].sender
     assert hashed[_material(program)] == 1
 
 

@@ -7,7 +7,6 @@ from bondsim.programs import (
     StatefulProgram,
     StateSchema,
     StatelessProgram,
-    contract_account_address,
     eval_logic_signature,
 )
 
@@ -26,8 +25,8 @@ def test_contract_address_deterministic():
     a = StatelessProgram("escrow", (1, "x"), lambda g, i, n: True)
     b = StatelessProgram("escrow", (1, "x"), lambda g, i, n: False)
     c = StatelessProgram("escrow", (2, "x"), lambda g, i, n: True)
-    assert contract_account_address(a) == contract_account_address(b)
-    assert contract_account_address(a) != contract_account_address(c)
+    assert a.address == b.address
+    assert a.address != c.address
 
 
 def test_logic_signature_sender_binding():
@@ -35,7 +34,7 @@ def test_logic_signature_sender_binding():
     group = TransactionGroup((Payment(sender="alice", receiver="bob", amount=1),))
     # contract-account form: only the derived address may be the sender
     assert not eval_logic_signature(LogicSig(program), group, 0, 0)
-    addr = contract_account_address(program)
+    addr = program.address
     group2 = TransactionGroup((Payment(sender=addr, receiver="bob", amount=1),))
     assert eval_logic_signature(LogicSig(program), group2, 0, 0)
     # delegated form binds to the delegator
@@ -45,7 +44,7 @@ def test_logic_signature_sender_binding():
 
 def test_logic_signature_sees_submission_time():
     expiring = StatelessProgram("expiring", (50,), lambda g, i, now: now < 50)
-    addr = contract_account_address(expiring)
+    addr = expiring.address
     group = TransactionGroup((Payment(sender=addr, receiver="bob", amount=1),))
     assert eval_logic_signature(LogicSig(expiring), group, 0, 49)
     assert not eval_logic_signature(LogicSig(expiring), group, 0, 50)
@@ -56,7 +55,7 @@ def test_predicate_can_require_grouped_app_call():
         return any(isinstance(t, AppCall) and t.app_id == 1000 for t in group.txns)
 
     program = StatelessProgram("linked", (1000,), needs_app_call)
-    addr = contract_account_address(program)
+    addr = program.address
     lone = TransactionGroup((Payment(sender=addr, receiver="bob", amount=1),))
     assert not eval_logic_signature(LogicSig(program), lone, 0, 0)
     paired = TransactionGroup(

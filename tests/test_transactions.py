@@ -12,7 +12,7 @@ LSIG = LogicSig(StatelessProgram("p", (1,), lambda group, idx, now: True))
 # every field of each class set to a value other than its default
 EXAMPLES = {
     Payment: dict(
-        sender="a", receiver="b", amount=5, signature=SecretKey("a"), fee=2_000, note=b"n", valid_from=1, valid_until=9
+        sender="a", receiver="b", amount=5, signature=SecretKey("a"), fee=2_000, note=b"n"
     ),
     AssetTransfer: dict(
         sender="a",
@@ -23,8 +23,6 @@ EXAMPLES = {
         signature=LSIG,
         fee=3_000,
         note=b"m",
-        valid_from=2,
-        valid_until=8,
     ),
     AppCall: dict(
         sender="a",
@@ -36,8 +34,6 @@ EXAMPLES = {
         signature=LSIG,
         fee=4_000,
         note=b"x",
-        valid_from=3,
-        valid_until=7,
     ),
     TransactionGroup: dict(txns=(Payment("a", "b", 1), AppCall("a", 1000))),
 }

@@ -117,7 +117,6 @@ anyone = st.sampled_from(ACCOUNTS + ("ghost",))
 common = dict(
     fee=st.sampled_from([FLAT_FEE, FLAT_FEE, FLAT_FEE, 999, 5_000]),
     signature=st.sampled_from([None, None, None, None, SecretKey("a3")]),
-    valid_from=st.sampled_from([None, None, None, 4]),
 )
 payment = st.builds(
     Payment, sender=anyone, receiver=anyone,
