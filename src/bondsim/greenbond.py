@@ -14,9 +14,10 @@ escrows:
 * the bond escrow is the clawback authority for the bond asset, so every
   bond movement is a clawback it signs;
 * the stablecoin escrow pays coupons, principal and default recoveries.
-Each escrow signs a leg only where an action's group shape has it sign that
-leg: under a NoOp main-app head naming the action, in a group of the shape's
-size, so that the action's checks, run from the head, hold every other pin.
+Each escrow signs a leg only where a main-app action, in the one table that
+also gives the app its dispatch, has it sign that leg: under a NoOp head naming
+the action, in a group of its shape's size, so that the action's checks, run
+from the head, hold every other pin.
 Issuance takes the same path: the operator links the apps, funds the
 contract accounts, and sends the setup call, which the main app approves
 once, and under which the bond escrow pulls the whole supply.
@@ -66,7 +67,7 @@ from .programs import (
     StatelessProgram,
     StateSchema,
 )
-from .pricing import TOP_RATING
+from .pricing import TOP_RATING, penalty
 
 UNIT = 1_000_000  # base units per whole bond and per stablecoin dollar
 BOND_DECIMALS = 6
@@ -231,12 +232,9 @@ def rating_slot_count(coupon_rounds: int) -> int:
 
 
 def effective_coupon(coupon_base: int, rating: int) -> int:
-    """Per-bond coupon after the rating penalty: 10% compounded per star
-    below 5, floored to integer base units."""
-    if not 1 <= rating <= TOP_RATING:
-        raise ValueError(f"rating must be between 1 and {TOP_RATING}")
-    k = TOP_RATING - rating
-    return coupon_base * 11**k // 10**k
+    """Per-bond coupon after the rating penalty, floored to integer base units."""
+    scale, base = penalty(rating)
+    return coupon_base * scale // base
 
 
 def coupon_round_at(params: BondParams, now: int) -> int:
@@ -429,28 +427,27 @@ class _Check:
     """Some of a shape's pins, as one party checks them: leg index -> fields
     checked there (None: all), by default every leg after the head.  The
     checking transaction sits at an index in `at` of a group of the shape's
-    size or, with `whole=False`, one reaching the last leg checked; `stricter`
-    replaces pins: (leg index, field) -> pin.  An app's check (`side` "main"
-    or "manage") is `require(ctx, params, code, **own)`, denying the call with
-    the leg index and field of the first pin broken; a trade offer's ("dep")
-    is `failure(txns, at, dep, actor, **own)`, returning them, or None."""
+    size; `stricter` replaces pins: (leg index, field) -> pin.  An app's check
+    (`side` "main" or "manage") is `require(ctx, params, code, **own)`,
+    denying the call with the leg index and field of the first pin broken; a
+    trade offer's ("dep") is `failure(txns, at, dep, actor, **own)`,
+    returning them, or None.  Each keeps its arguments, for an audit."""
 
-    def __init__(self, shape: _Shape, pins: Optional[dict] = None, at=(0,), whole=True, stricter=None, side="main"):
-        pins = pins or dict.fromkeys(range(1, len(shape.legs)))
-        stricter = {key: _pin(operand) for key, operand in (stricter or {}).items()}
+    def __init__(self, shape: _Shape, pins: Optional[dict] = None, at=(0,), stricter=None, side="main"):
+        self.shape, self.pins, self.at, self.side = shape, pins or dict.fromkeys(range(1, len(shape.legs))), at, side
+        self.stricter = {key: _pin(operand) for key, operand in (stricter or {}).items()}
         fail = "return {}, {!r}" if side == "dep" else "ctx.deny(code, leg={}, field={!r})"
 
         def render(source: Callable) -> list:
-            size = len(shape.legs) if whole else max(pins) + 1
             lines = [] if side == "dep" else ["txns, at = ctx.group.txns, ctx.txn_index"]
             lines.append(f"if at not in {at!r}: {fail.format('at', 'position')}")
-            lines.append(f"if len(txns) {'!=' if whole else '<'} {size}: {fail.format(None, 'size')}")
-            for index, fields in pins.items():
+            lines.append(f"if len(txns) != {len(shape.legs)}: {fail.format(None, 'size')}")
+            for index, fields in self.pins.items():
                 lines.append(f"t = txns[{index}]")
                 lines.append(f"if not isinstance(t, {shape.legs[index].kind.__name__}): {fail.format(index, 'type')}")
                 for field, pin in shape.legs[index].pins.items():
                     if fields is None or field in fields:
-                        broken = stricter.get((index, field), pin).broken
+                        broken = self.stricter.get((index, field), pin).broken
                         lines.append(f"if {source(broken, 't.' + field)}: {fail.format(index, field)}")
             return [*lines, "return None"]
 
@@ -556,19 +553,6 @@ _COUPON = _Shape(
 _PRINCIPAL = _surrender(ACT_SELL, ACT_NOT_DEFAULTED, "Claim Principal", "txns[2].amount * $principal // UNIT")
 _DEFAULT = _surrender(ACT_DEFAULT, ACT_CLAIM_DEFAULT, "Claim Default", "$payout")
 
-
-# the legs each escrow, by its signature, signs after a main-app head:
-# (the head's arguments up to the action, leg index) -> the shape's size
-_SIGNED = {
-    sig: {
-        ((shape.legs[0].action,), i): len(shape.legs)
-        for shape in (_SETUP, _FREEZE_ALL, _FREEZE, _SET_TRADE, _BUY, _TRADE, _COUPON, _PRINCIPAL, _DEFAULT)
-        for i, leg in enumerate(shape.legs)
-        if leg.extra.get("signature") == sig
-    }
-    for sig in (_BY_BOND_ESCROW["signature"], _BY_STABLECOIN_ESCROW["signature"])
-}
-
 _SETUP_CHECK = _Check(_SETUP)
 _BUY_CHECK = _Check(_BUY)
 _TRADE_CHECK = _Check(_TRADE, {1: None, 2: None})  # the buyer's payment is the offer's to check
@@ -584,12 +568,10 @@ _TRADE_OFFER_CHECK = _Check(
 _COUPON_CHECK = _Check(_COUPON)
 _SELL_CHECK = _Check(_PRINCIPAL)
 # the payout's amount is the manage app's to check
-_DEFAULT_CHECK = _Check(
-    _DEFAULT, {1: None, 2: None, 3: ("asset_id", "revoke_target", "sender", "receiver"), 4: None, 5: None}
-)
+_DEFAULT_CHECK = _Check(_DEFAULT, {1: None, 2: None, 3: ("asset_id", "revoke_target", "sender", "receiver"), 4: None, 5: None})
 # the manage app checks the head, and the payout it guards
-_COUPON_HEAD = _Check(_COUPON, {0: None, 3: ("asset_id",)}, at=(1,), whole=False, side="manage")
-_SELL_HEAD = _Check(_PRINCIPAL, {0: None, 3: ("asset_id",)}, at=(1,), whole=False, side="manage")
+_COUPON_HEAD = _Check(_COUPON, {0: None, 3: ("asset_id",)}, at=(1,), side="manage")
+_SELL_HEAD = _Check(_PRINCIPAL, {0: None, 3: ("asset_id",)}, at=(1,), side="manage")
 _CLAIM_DEFAULT_HEAD = _Check(_DEFAULT, {0: None}, at=(1,), side="manage")
 _CLAIM_DEFAULT_PAYOUT = _Check(_DEFAULT, {3: ("asset_id", "receiver", "amount")}, at=(1,), side="manage")
 
@@ -708,8 +690,7 @@ def _rating_key(slot: int) -> bytes:
 
 def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     _require_active(ctx, params, ctx.sender)
-    bond_asset = ctx.app_config.get(CFG_BOND_ASSET)
-    holdings = ctx.asset_balance(ctx.sender, bond_asset)
+    holdings = ctx.asset_balance(ctx.sender, ctx.app_config.get(CFG_BOND_ASSET))
     if holdings <= 0:
         ctx.deny("no_bonds")
     paid = ctx.local_uint(ctx.sender, KEY_COUPONS_PAID)
@@ -727,9 +708,8 @@ def _main_coupon(ctx: CallContext, params: BondParams) -> None:
     if round_no > ctx.global_uint(KEY_COUPONS_PAID):
         # first claim of this round: reserve the full obligation for every
         # circulating bond, then let each claim (this one included) work it off
-        circulation = params.supply_base_units - ctx.asset_balance(ctx.app_config.get(CFG_BOND_ESCROW), bond_asset)
         ctx.global_put(KEY_COUPONS_PAID, round_no)
-        reserve += per_bond * circulation // UNIT
+        reserve += per_bond * _circulation(ctx, params) // UNIT
     ctx.global_put(KEY_RESERVE, reserve - expected)
 
 
@@ -757,6 +737,30 @@ def _main_default(ctx: CallContext, params: BondParams) -> None:
     if paid != ctx.global_uint(KEY_COUPONS_PAID):
         ctx.deny("behind_on_coupons", coupons_paid=paid, unlocked=ctx.global_uint(KEY_COUPONS_PAID))
     _DEFAULT_CHECK.require(ctx, params, holdings=holdings)
+
+
+# each main-app action's shape (whose head names it) -> its handler; from it, the dispatch
+# and the legs each escrow signs: (the head's arguments up to the action, leg) -> the size
+_MAIN_ACTIONS = {
+    _SETUP: _main_setup,
+    _FREEZE_ALL: _main_freeze_all,
+    _FREEZE: _main_freeze_account,
+    _BUY: _main_buy,
+    _SET_TRADE: _main_set_trade,
+    _TRADE: _main_trade,
+    _COUPON: _main_coupon,
+    _PRINCIPAL: _main_sell,
+    _DEFAULT: _main_default,
+}
+_SIGNED = {
+    sig: {
+        ((shape.legs[0].action,), i): len(shape.legs)
+        for shape in _MAIN_ACTIONS
+        for i, leg in enumerate(shape.legs)
+        if leg.extra.get("signature") == sig
+    }
+    for sig in (_BY_BOND_ESCROW["signature"], _BY_STABLECOIN_ESCROW["signature"])
+}
 
 
 def _approval(params: BondParams, dispatch: dict, opt_in: Callable[[CallContext], None]):
@@ -791,17 +795,7 @@ def _main_opt_in(ctx: CallContext) -> None:
 
 
 def build_main_program(params: BondParams) -> StatefulProgram:
-    dispatch = {
-        ACT_SETUP: _main_setup,
-        ACT_FREEZE_ALL: _main_freeze_all,
-        ACT_FREEZE: _main_freeze_account,
-        ACT_BUY: _main_buy,
-        ACT_SET_TRADE: _main_set_trade,
-        ACT_TRADE: _main_trade,
-        ACT_COUPON: _main_coupon,
-        ACT_SELL: _main_sell,
-        ACT_DEFAULT: _main_default,
-    }
+    dispatch = {shape.legs[0].action: handler for shape, handler in _MAIN_ACTIONS.items()}
     return StatefulProgram(
         name="green-bond-main",
         schema=StateSchema(global_uints=3, local_uints=3),

@@ -7,7 +7,7 @@ passes through this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 TOP_RATING = 5
 
@@ -43,12 +43,18 @@ def price(coupon: float, rate: float, face: float, periods: int) -> float:
     return coupon * (1 - discount) / rate + face * discount
 
 
-def penalty_multiplier(rating: int) -> float:
-    """Coupon scale factor for a rating: 10% compounded per star below 5."""
+def penalty(rating: int) -> Tuple[int, int]:
+    """The coupon's scale for a rating, (numerator, denominator): 10% compounded per star below 5."""
     if not 1 <= rating <= TOP_RATING:
-        raise ValueError("rating must be between 1 and 5")
+        raise ValueError(f"rating must be between 1 and {TOP_RATING}")
     k = TOP_RATING - rating
-    return 11**k / 10**k
+    return 11**k, 10**k
+
+
+def penalty_multiplier(rating: int) -> float:
+    """Coupon scale factor for a rating (see `penalty`)."""
+    scale, base = penalty(rating)
+    return scale / base
 
 
 def rated_price(coupon_base: float, rating: int, rate: float, face: float, periods: int) -> float:

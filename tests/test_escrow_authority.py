@@ -15,7 +15,14 @@ group, and the setup group pulled any holder's bonds.  A headless setup
 group, signed by a clause that fixed the operator and the supply, still
 pulled the operator's bonds once the operator held the whole supply.
 Every refused group must leave the ledger as it was.
+
+The main app's actions are one table, `greenbond._MAIN_ACTIONS`, which the
+escrows' signing rule is read from.  The last tests check that it holds every
+action, and audit it: each field that moves value on a leg an escrow signs
+is pinned by a check that runs whenever the escrow signs, or is excused in
+`UNPINNED` with its reason.
 """
+import ast
 import dataclasses
 import itertools
 
@@ -349,3 +356,77 @@ def test_payout_needs_a_noop_call_of_the_manage_app(env, action, on_complete):
     refused(env, txns)
 
     assert env.ledger.submit_group(group).approved
+
+
+# ---------------------------------------------------------------------------
+# the table of actions, and the pins that hold each escrow leg
+
+AUDITED = ("sender", "receiver", "asset_id", "amount", "revoke_target")
+# (action, leg, field) -> why no check that runs when the escrow signs the leg pins the field
+UNPINNED = {
+    (gb.ACT_TRADE, 2, "receiver"): "the buyer may be anyone: only the builder sets it, and leg 3 makes "
+    "that buyer pay (its sender is pinned to txns[2].receiver)",
+}
+
+
+def test_every_shape_with_a_main_app_head_is_in_the_table():
+    missing = [
+        name for name, value in vars(gb).items()
+        if isinstance(value, gb._Shape) and value.legs[0].action is not None and value not in gb._MAIN_ACTIONS
+    ]
+    assert missing == []
+
+
+def test_the_table_holds_the_main_apps_actions():
+    assert sorted(shape.legs[0].action for shape in gb._MAIN_ACTIONS) == sorted(MAIN_ACTIONS)
+
+
+def pinned(check, leg, field) -> bool:
+    """Whether `check` compares `field` of leg `leg` with the shape's pin."""
+    fields = check.pins.get(leg, ())
+    return field in check.shape.legs[leg].pins and (fields is None or field in fields)
+
+
+def runs_with(shape) -> list:
+    """The checks that run whenever an escrow signs a leg of `shape`: the main
+    app's at the head, named by the action's handler, and the manage app's at
+    a call of the manage app whose app and action the main app's check pins,
+    named by the manage app's handler of that action.  (A handler's
+    `co_names` are the globals it reads, its checks among them.)  A trade
+    offer's check does not count: a seller who sends its own trade legs uses
+    no offer."""
+    named = {name: check for name, check in vars(gb).items() if isinstance(check, gb._Check) and check.shape is shape}
+    main = [
+        check for name, check in named.items()
+        if check.side == "main" and check.at == (0,) and name in gb._MAIN_ACTIONS[shape].__code__.co_names
+    ]
+
+    def manage_runs(name, at) -> bool:
+        leg = shape.legs[at]
+        if leg.kind is not AppCall or leg.pins["app_id"].value != "$manage_app":
+            return False
+        if not any(pinned(check, at, "app_id") and pinned(check, at, "args") for check in main):
+            return False
+        action = ast.literal_eval(leg.pins["args"].value)[0]
+        return name in vars(gb)[f"_manage_{action.decode()}"].__code__.co_names
+
+    manage = [
+        check for name, check in named.items()
+        if check.side == "manage" and all(manage_runs(name, at) for at in check.at)
+    ]
+    return main + manage
+
+
+def test_every_escrow_leg_is_pinned_by_a_check_that_runs_when_it_is_signed():
+    """The safety argument of the shapes, checked on the table: every field
+    that moves value on a leg an escrow signs is pinned, or is excused."""
+    unpinned = set()
+    for shape in gb._MAIN_ACTIONS:
+        checks = runs_with(shape)
+        for leg, spec in enumerate(shape.legs):
+            if spec.extra.get("signature") not in gb._SIGNED:
+                continue
+            for field in {f.name for f in dataclasses.fields(spec.kind)}.intersection(AUDITED):
+                if not any(pinned(check, leg, field) for check in checks):
+                    unpinned.add((shape.legs[0].action, leg, field))
+    assert unpinned == set(UNPINNED)

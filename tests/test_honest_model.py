@@ -53,9 +53,11 @@ After every step:
 * the stablecoin escrow holds at least the reserve;
 * the issuer's report listing is the model's.
 
-An approved attacker trade (taking an honest offer) and an approved attacker
-coupon claim are rare draws, so two explicit sequences drive the attacker
-machine's own rules to each, with every invariant checked after each step.
+Some outcomes are rare draws: an honest holder's approved default and
+principal claims, a trade refused because the buyer's coupon counter differs
+from the seller's, and an approved attacker trade (taking an honest offer)
+or coupon claim.  Explicit sequences drive each machine's own rules to each,
+with every invariant checked after each step.
 """
 import dataclasses
 import hashlib
@@ -641,11 +643,9 @@ class HonestActorsAndAttacker(HonestActors):
 def test_honest_actors_are_paid_what_the_model_owes():
     seen.clear()
     run_state_machine_as_test(HonestActors, settings=SETTINGS)
-    # the runs reached every kind of payout, both trade rules, the refusals that guard them
-    # and a holder's return
-    reached = {
-        "coupon", "principal", "default", "adopt", "trade", "coupons_differ", "escrow_shortfall", "rejoin", "anchor"
-    }
+    # the runs reached coupons, both trade rules, the shortfall refusal and a holder's
+    # return; the rare outcomes have explicit sequences below
+    reached = {"coupon", "adopt", "trade", "escrow_shortfall", "rejoin", "anchor"}
     assert reached <= set(seen), seen
 
 
@@ -670,23 +670,52 @@ def scripted(*choices):
     return pick
 
 
-def drive(*steps):
-    """Run the attacker machine through `steps`, each calling its rules, after
-    the opening buys, and check every invariant after each step."""
+def drive(machine_class, *steps):
+    """Run a machine of `machine_class` through `steps`, each calling its rules,
+    after the opening buys (investors a and b hold 2 bonds each, the attacker
+    3), and check each of the machine's invariants after each step."""
     seen.clear()
-    machine = HonestActorsAndAttacker()
-    for step in (lambda m: m.open_the_buy_window([2, 2, 0, 0]), lambda m: m.the_attacker_buys(), *steps):
+    machine = machine_class()
+    opening = [lambda m: m.open_the_buy_window([2, 2, 0, 0])]
+    if isinstance(machine, HonestActorsAndAttacker):
+        opening.append(lambda m: m.the_attacker_buys())
+    checks = [name for name in CHECKS if hasattr(machine, name)]
+    for step in (*opening, *steps):
         step(machine)
-        for name in CHECKS:
+        for name in checks:
             getattr(machine, name)()
 
 
+ROUND_ONE_DUE = (lambda m: m.advance(100), lambda m: m.advance(100))  # from the buy window's start to t=250
+
+
+def test_an_honest_holder_may_claim_a_default():
+    """The escrow holds 100 USD, short of round 1's 400 USD."""
+    drive(HonestActors, lambda m: m.fund(100 * USD), *ROUND_ONE_DUE, lambda m: m.default(0), lambda m: m.default(1))
+    assert seen["default"] == 2, seen
+
+
+def test_an_honest_holder_may_redeem_its_principal():
+    """Investor a claims both rounds, then redeems at t=350, past maturity."""
+    both_rounds = (lambda m: m.coupon(0), lambda m: m.coupon(0))
+    drive(HonestActors, lambda m: m.fund(None), *ROUND_ONE_DUE, lambda m: m.advance(100), *both_rounds,
+          lambda m: m.principal(0))
+    assert seen["principal"], seen
+
+
+def test_a_trade_between_holders_on_different_rounds_is_refused():
+    """Investor a claims round 1; b, holding bonds with round 1 unclaimed, takes a's offer."""
+    drive(HonestActors, lambda m: m.fund(None), *ROUND_ONE_DUE, lambda m: m.coupon(0), lambda m: m.trade(0, 1, UNIT))
+    assert seen["coupons_differ"], seen
+
+
 def test_an_attacker_may_take_an_honest_offer():
-    drive(lambda m: m.offer(0, UNIT), lambda m: m.attack_by(scripted("take_offer", UNIT, m.offers[-1], 0)))
+    drive(HonestActorsAndAttacker, lambda m: m.offer(0, UNIT),
+          lambda m: m.attack_by(scripted("take_offer", UNIT, m.offers[-1], 0)))
     assert seen["attacker trade"], seen
 
 
 def test_an_attacker_may_claim_its_coupon():
-    round_one_due = lambda m: m.advance(100), lambda m: m.advance(100)
-    drive(lambda m: m.fund(None), *round_one_due, lambda m: m.attack_by(scripted("coupon", UNIT, 0)))
+    drive(HonestActorsAndAttacker, lambda m: m.fund(None), *ROUND_ONE_DUE,
+          lambda m: m.attack_by(scripted("coupon", UNIT, 0)))
     assert seen["attacker coupon"], seen
