@@ -91,7 +91,7 @@ def _cmd_price_curve(args) -> int:
         sweep, fixed = pricing.SWEEP_PERIODS, {"coupon_rate": args.coupon_rate}
     else:
         sweep, fixed = pricing.SWEEP_COUPON_RATE, {"periods": args.periods}
-    try:  # a negative or non-finite period count, a rate of -1 or less, an overflowing price
+    try:  # a negative period count, a rate of -1 or less, a non-finite number or price
         values = [int(v) for v in values] if args.sweep else values
         rows = pricing.curve(sweep, values, face=args.face, rate=args.rate, **fixed)
     except (ValueError, OverflowError) as exc:

@@ -1092,18 +1092,12 @@ def investor_local_state(ledger: Ledger, dep: BondDeployment, investor: Address)
 
 
 def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: TransactionGroup) -> SubmitResult:
-    """Submit an action's group; once approved, record each payer's row: its
-    fees plus what it paid into the escrows."""
+    """Submit an action's group; once approved, leave its cost rows (each
+    payer's fees plus what it paid into the escrows) for `CostLedger.rows`
+    to make from the group's place at the end of the log."""
     result = ledger.submit_group(group)
     if result.approved:
-        txns = group.txns
-        for payer, label, paid, refunds in shape.costs:
-            fee = amount = 0
-            for leg in paid:
-                fee += txns[leg].fee
-            for leg in refunds:
-                amount += txns[leg].amount
-            ledger.cost.record(txns[payer].sender, label, amount=amount, fee=fee, tag=dep.main_app_id)
+        ledger.cost.pending.append((shape.costs, dep.main_app_id, len(ledger._txns) - len(group.txns)))
     return result
 
 

@@ -14,11 +14,13 @@ submission, each leg paying only for the checks that apply to it; a
 stateful handler writes through the same record, so its group's later legs
 read its writes and a rejection undoes them with the rest.
 
-A committed group leaves its transactions and commit times in two lists,
-not an object per transaction for the cyclic garbage collector to count:
-`applied_log` makes the `LogEntry` records on read, and only a transaction
-with a note gets its record at commit, for `noted_by`.  Each sender's fee
-total is written at commit too, so a group never journals one.
+A committed group only appends its transactions and commit times to two
+lists, not an object per transaction for the cyclic garbage collector to
+count.  What is derived from them is made when it is read: `applied_log`
+makes the `LogEntry` records, and each reader of a fee total or of
+`noted_by` first folds the transactions committed since the last fold into
+the senders' fee totals and the index of noted entries.  A group therefore
+never journals a fee total, and a rejected one never reaches them.
 
 All money arithmetic is integer arithmetic.  There is no randomness and no
 wall-clock access anywhere, so identical operation sequences produce
@@ -26,6 +28,7 @@ identical ledgers.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -237,9 +240,10 @@ class _Undo:
     """Rollback record of one group: it saves what each write overwrites.
     `account` and `charge` save an account's balance and minimum on the
     group's first write to it, and `finalize` an app's flag; fee totals are
-    written only at commit, so they need no saving.  `put`, `drop` and `move`
-    journal each dict write (holdings, local state, an app's global state and
-    config, the app map) as the key's previous value.  `rollback` replays the journal in reverse and restores
+    folded from the committed transactions when read, so a group never
+    writes one.  `put`, `drop` and `move` journal each dict write (holdings,
+    local state, an app's global state and config, the app map) as the key's
+    previous value.  `rollback` replays the journal in reverse and restores
     the saved scalars, so accounts and app states keep their identity.  The
     saved accounts are exactly the accounts the group wrote, whose minimum
     balances the group must leave intact.  A clear-state call writes through
@@ -331,14 +335,44 @@ class CostRow:
 
 
 class CostLedger:
-    """Per-actor accumulation of fees and minimum-balance obligations plus
-    labelled per-action rows for cost reporting."""
+    """Labelled per-action cost rows for cost reporting: what each actor paid
+    in fees, into escrows and in minimum balance.  `record` makes a row at
+    once.  An approved group of an action leaves only its row specs, its
+    tag and the log index of its first transaction in `pending`, and `rows`
+    makes its rows from the committed transactions when read.  A spec is
+    (payer leg, label, the legs whose fees the payer pays, the legs whose
+    amounts it paid into an escrow), as in `greenbond._Shape.costs`."""
 
-    def __init__(self):
-        self.rows: list = []
+    def __init__(self, txns: list):
+        self._txns = txns  # the ledger's committed transactions
+        self.pending: list = []  # a CostRow, or a group's (specs, tag, start), recorded since `rows` was read
+        self._rows: list = []
+        self._lock = threading.Lock()
 
     def record(self, actor: Address, label: str, *, amount: int = 0, min_delta: int = 0, fee: int = 0, tag: Optional[int] = None) -> None:
-        self.rows.append(CostRow(actor, label, amount, min_delta, fee, tag))
+        self.pending.append(CostRow(actor, label, amount, min_delta, fee, tag))
+
+    @property
+    def rows(self) -> list:
+        """Every row, in the order recorded.  The same list every time, grown
+        on each read by the rows recorded since the previous one: read it
+        again after submitting.  Readers make rows under a lock, so readers
+        racing between two writes never add one twice."""
+        pending, rows = self.pending, self._rows
+        if pending:
+            with self._lock:
+                txns, stop = self._txns, len(pending)
+                for entry in pending[:stop]:
+                    if isinstance(entry, CostRow):
+                        rows.append(entry)
+                        continue
+                    specs, tag, start = entry
+                    for payer, label, paid, refunds in specs:
+                        amount = sum(txns[start + leg].amount for leg in refunds)
+                        fee = sum(txns[start + leg].fee for leg in paid)
+                        rows.append(CostRow(txns[start + payer].sender, label, amount, 0, fee, tag))
+                del pending[:stop]  # only now: a reader that finds `pending` empty finds every row made
+        return rows
 
     def rows_for(self, actor: Optional[Address] = None, tag: Optional[int] = None) -> list:
         out = []
@@ -374,8 +408,10 @@ class Ledger:
         self._txns: list = []  # committed transactions, in ledger order
         self._times: list = []  # the clock when each of them committed
         self._log: list = []  # LogEntry records of the first len(_log) of them, made on read
-        self._noted: dict = {}  # sender -> its committed entries that carry a note, in ledger order
-        self.cost = CostLedger()
+        self._folded = 0  # how many of them `_fold` has added to the fee totals and `_noted`
+        self._fold_lock = threading.Lock()
+        self._noted: dict = {}  # sender -> its folded entries that carry a note, in ledger order
+        self.cost = CostLedger(self._txns)
 
     # -- accounts -----------------------------------------------------------
 
@@ -547,14 +583,25 @@ class Ledger:
         return APPROVED
 
     def _record(self, group: TransactionGroup) -> None:
-        txns, seq, now, fees = group.txns, len(self._txns), self._now, self._state.fees_paid
-        self._txns += txns
-        self._times += [now] * len(txns)
-        for txn in txns:
-            fees[txn.sender] = fees.get(txn.sender, 0) + txn.fee
-            if txn.note:
-                self._noted.setdefault(txn.sender, []).append(LogEntry(seq, now, txn))
-            seq += 1
+        self._txns += group.txns
+        self._times += [self._now] * len(group.txns)  # last: `_fold` reads up to its length
+
+    def _fold(self) -> None:
+        """Add the fees and index the notes of the transactions committed
+        since the last fold.  Every reader of a fee total or of `_noted`
+        folds first; the fold runs under a lock, so readers racing between
+        two writes never count a transaction twice."""
+        if self._folded == len(self._times):
+            return
+        with self._fold_lock:
+            txns, times, fees, noted = self._txns, self._times, self._state.fees_paid, self._noted
+            stop = len(times)
+            for seq in range(self._folded, stop):
+                txn = txns[seq]
+                fees[txn.sender] = fees.get(txn.sender, 0) + txn.fee
+                if txn.note:
+                    noted.setdefault(txn.sender, []).append(LogEntry(seq, times[seq], txn))
+            self._folded = stop
 
     @property
     def applied_log(self) -> list:
@@ -571,8 +618,10 @@ class Ledger:
 
     def noted_by(self, sender: Address) -> list:
         """Committed entries sent by `sender` that carry a note, in ledger
-        order.  Each commit grows the list kept for the sender (a sender with
-        none yet gets a fresh empty one): read it again after submitting."""
+        order.  Each read first folds the commits since the last fold into
+        the list kept for the sender (a sender with none yet gets a fresh
+        empty one): read it again after submitting."""
+        self._fold()
         return self._noted.get(sender, [])
 
     # -- transaction application (internal) ----------------------------------------
@@ -762,9 +811,11 @@ class Ledger:
     # -- introspection ---------------------------------------------------------
 
     def fees_paid(self, addr: Address) -> int:
+        self._fold()
         return self._state.fees_paid.get(addr, 0)
 
     def total_fees_burned(self) -> int:
+        self._fold()
         return sum(self._state.fees_paid.values())
 
     def total_algos(self) -> int:
@@ -779,6 +830,7 @@ class Ledger:
     def observable_state(self) -> dict:
         """Canonical snapshot of everything a group submission may change.
         Two ledgers with equal snapshots are observably identical."""
+        self._fold()
         return {
             "now": self._now,
             "accounts": {

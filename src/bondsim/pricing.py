@@ -6,6 +6,7 @@ passes through this module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -92,12 +93,16 @@ def curve(
     ``sweep_variable`` selects what `values` ranges over: ``"T"`` sweeps the
     number of periods (with `coupon_rate` fixed), ``"coupon_rate"`` sweeps
     the per-period coupon as a fraction of face (with `periods` fixed).
-    Rows are ordered rating-major, then in the given value order.
+    Rows are ordered rating-major, then in the given value order.  A
+    non-finite input raises `ValueError`, a price that overflows to a
+    non-finite one `OverflowError`.
     """
     if not values:
         raise ValueError("sweep values must be non-empty")
     if sweep_variable not in (SWEEP_PERIODS, SWEEP_COUPON_RATE):
         raise ValueError(f"unknown sweep variable: {sweep_variable}")
+    if not all(map(math.isfinite, (face, rate, coupon_rate, *values))):
+        raise ValueError("face, rate, coupon rate and sweep values must be finite numbers")
     rows: List[CurveRow] = []
     for rating in range(1, TOP_RATING + 1):
         for value in values:
@@ -105,5 +110,7 @@ def curve(
                 p = rated_price(coupon_rate * face, rating, rate, face, int(value))
             else:
                 p = rated_price(float(value) * face, rating, rate, face, periods)
+            if not math.isfinite(p):
+                raise OverflowError(f"price is not finite at rating {rating}, {sweep_variable}={value!r}")
             rows.append(CurveRow(rating, value, p))
     return rows

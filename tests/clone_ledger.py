@@ -229,7 +229,8 @@ class CloneLedger(Ledger):
         self._state.accounts = working.accounts
         self._state.apps = working.apps
         self._record(group)
-        # the reference's own fee totals, in place of those `_record` adds at commit
+        # the reference's own fee totals, in place of those the fold adds
+        self._fold()
         self._state.fees_paid = working.fees_paid
         return SubmitResult(True)
 

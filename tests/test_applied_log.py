@@ -1,22 +1,31 @@
 """The applied log is kept as the committed transactions and their commit
-times; `applied_log` makes its `LogEntry` records on read.
+times; `applied_log` makes its `LogEntry` records on read, and fee totals,
+`noted_by` and cost rows are folded from them on read too.
 
-The first test holds it to the log as it reads from the groups submitted:
-every approved group's transactions, in order, each with the clock at its
-commit, whether the log is read between commits or only at the end.  The
-rest check what a committed group leaves for the cyclic garbage collector:
-no `LogEntry` but for a transaction with a note, one set of reference tuples
-per deployment, and at most five new objects for a coupon claim.
+The first tests hold what is read to the groups submitted: every approved
+group's transactions, in order, each with the clock at its commit, and the
+fee totals, noted entries and cost rows they make, whether they are read
+between commits or only at the end, and by one reader or by racing ones.
+The rest check what a committed group leaves for the cyclic garbage
+collector: no `LogEntry` but for a transaction with a note, one set of
+reference tuples per deployment, and at most five new objects for a coupon
+claim.
 """
 import gc
+import os
 import platform
+import sys
+import threading
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bondsim import greenbond as gb
-from bondsim.ledger import AppCall, Ledger, LogEntry, Payment
+from bondsim.ledger import FLAT_FEE, AppCall, Ledger, LogEntry, Payment
 from bondsim.programs import StatefulProgram, StateSchema
+from bondsim.scenario import ScenarioRunner, parse_scenario
 
 from clone_ledger import CloneLedger
 from conftest import BondEnv
@@ -73,6 +82,16 @@ steps = st.lists(
 )
 
 
+def reads(led) -> tuple:
+    """What a ledger's readers of folded values return."""
+    return (
+        {sender: led.fees_paid(sender) for sender in SENDERS},
+        led.total_fees_burned(),
+        {sender: list(led.noted_by(sender)) for sender in SENDERS},
+        led.observable_state(),
+    )
+
+
 @pytest.mark.parametrize("cls", [Ledger, CloneLedger])
 @settings(max_examples=150, deadline=None)
 @given(steps=steps)
@@ -80,6 +99,8 @@ def test_log_reads_as_the_groups_committed(cls, steps):
     often, once = make_ledger(cls), make_ledger(cls)  # `once` is read only at the end
     held = often.applied_log
     expected = []
+    fees = {sender: 0 for sender in SENDERS}
+    fees["a0"] = FLAT_FEE  # for creating the app
     for kind, arg in steps:
         if kind == "tick":
             for led in (often, once):
@@ -91,14 +112,89 @@ def test_log_reads_as_the_groups_committed(cls, steps):
             (outcome,) = {submit(led, arg) for led in (often, once)}
             if outcome:
                 expected += [LogEntry(len(expected) + i, often.now, txn) for i, txn in enumerate(arg)]
+                for txn in arg:
+                    fees[txn.sender] += txn.fee
         for sender in SENDERS:
             assert often.noted_by(sender) == [e for e in expected if e.txn.sender == sender and e.txn.note]
+        paid, burned, _, state = reads(often)
+        assert (paid, burned) == (fees, sum(fees.values()))
+        assert state["fees"] == tuple(sorted((sender, fee) for sender, fee in fees.items() if fee))
     for led in (often, once):
         assert led.applied_log == expected
         assert led.observable_state()["log_len"] == len(expected)
         for sender in SENDERS:
             assert led.noted_by(sender) == [e for e in expected if e.txn.sender == sender and e.txn.note]
+    assert reads(often) == reads(once)
     assert often.applied_log is held
+
+
+def test_cost_rows_read_after_every_step_equal_the_rows_read_at_the_end():
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "lifecycle.bsim"
+    steps = parse_scenario(path.read_text())
+    often, once = ScenarioRunner(path.parent), ScenarioRunner(path.parent)
+    held = often.ledger.cost.rows
+    for step in steps:
+        assert often.run([step]).exit_code == 0
+        assert often.ledger.cost.rows is held
+    assert once.run(steps).exit_code == 0
+    assert [astuple(row) for row in held] == [astuple(row) for row in once.ledger.cost.rows]
+    assert len(held) > 20
+
+
+def folded(led, accounts, rows_first) -> tuple:
+    """Fee totals, noted-entry counts and the row count, the rows read first or last."""
+    rows = len(led.cost.rows) if rows_first else None
+    fees = {a: led.fees_paid(a) for a in accounts}
+    noted = {a: len(led.noted_by(a)) for a in accounts}
+    return fees, noted, rows if rows_first else len(led.cost.rows)
+
+
+def test_racing_readers_count_each_fee_and_cost_row_once():
+    """Between writes, more reader threads than cores race on `fees_paid`,
+    `noted_by` and `cost.rows`; each reads what a twin ledger read by one
+    thread reads, so no fee, noted entry or row is counted twice."""
+    envs = (BondEnv(), BondEnv())  # the first is raced on, its twin read alone
+    for env in envs:
+        env.deploy()
+        env.ledger.fund_algos(env.issuer, 10**10)
+        env.ledger.advance_time(100)
+    led, twin = envs[0].ledger, envs[1].ledger
+    readers, reads_each = (os.cpu_count() or 1) + 2, 10
+    seen = []
+    lock = threading.Lock()
+
+    def reader(start, accounts, rows_first):
+        start.wait(timeout=30)
+        for _ in range(reads_each):
+            got = folded(led, accounts, rows_first)
+            with lock:
+                seen.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            for env in envs:
+                inv = env.investor(f"inv{round_}")
+                assert gb.submit_buy(env.ledger, env.dep, inv, UNIT).approved
+                assert gb.submit_buy(env.ledger, env.dep, inv, 1000 * UNIT).rejected
+                for i in range(500):  # enough commits for the readers' folds to overlap
+                    assert gb.submit_report_anchor(env.ledger, env.dep, env.issuer, "%064x" % (round_ * 500 + i)).approved
+            accounts = twin.accounts()
+            expected = folded(twin, accounts, False)
+            start = threading.Barrier(readers)  # all readers meet the new commits at once
+            threads = [threading.Thread(target=reader, args=(start, accounts, i % 2)) for i in range(readers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(seen) == readers * reads_each
+            assert sum(got != expected for got in seen) == 0
+            seen.clear()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [astuple(row) for row in led.cost.rows] == [astuple(row) for row in twin.cost.rows]
 
 
 def test_clock_beyond_64_bits_is_logged():
@@ -181,5 +277,6 @@ def test_a_coupon_claim_leaves_at_most_five_objects_for_the_collector():
         grown = gc.get_count()[0] - start
     finally:
         gc.enable()
-    # the claim's four transactions, kept in the log, and its cost row
+    # the claim's four transactions, kept in the log, and its cost entry, which
+    # its cost row is made from on read
     assert grown <= 5

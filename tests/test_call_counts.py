@@ -1,8 +1,8 @@
 """Python-level calls per action, counted with `sys.setprofile` on a small
 fixed lifecycle after every builder and check has been compiled.  A count
 repeats exactly from run to run, so a regression in the fixed cost of an
-action shows here without timing noise.  Each count is pinned at most at
-the value measured when this test was written (the same on 3.10 to 3.13).
+action shows here without timing noise.  Each count is pinned at the value
+last measured (the same on 3.10 to 3.13), so a saved call cannot creep back.
 "coupon" is an investor's first claim, which builds the investor's fixed
 legs; "repeat coupon" is a later claim, which looks them up."""
 import sys
@@ -15,13 +15,13 @@ from conftest import BondEnv
 
 UNIT = gb.UNIT
 MOST_CALLS = {
-    "registration": 46,
-    "buy": 54,
-    "trade": 73,
-    "coupon": 76,
-    "repeat coupon": 73,
-    "first coupon of a round": 76,
-    "principal": 81,
+    "registration": 44,
+    "buy": 50,
+    "trade": 67,
+    "coupon": 72,
+    "repeat coupon": 69,
+    "first coupon of a round": 73,
+    "principal": 75,
 }
 
 

@@ -176,6 +176,7 @@ def test_a_repeat_coupon_claim_leaves_at_most_two_objects_for_the_collector():
         grown = gc.get_count()[0] - start
     finally:
         gc.enable()
-    # the payout leg, kept in the log, and the cost row: the investor's other
-    # three legs were built on its first claim
+    # the payout leg, kept in the log, and the cost entry that its cost row is
+    # made from on read: the investor's other three legs were built on its
+    # first claim
     assert grown <= 2

@@ -49,6 +49,12 @@ def sandbox(tmp_path_factory):
         ["price-curve", "--face", "100", "--rate", "-2", "--sweep", "T", "--values", "5"],
         ["price-curve", "--face", "100", "--rate", "-0.5", "--sweep", "T", "--values", "1e18"],
         ["price-curve", "--face", "100", "--rate", "0.05", "--coupon-rates", "0.1", "--periods", "-1"],
+        ["price-curve", "--face", "nan", "--rate", "0.05", "--sweep", "T", "--values", "5"],
+        ["price-curve", "--face", "100", "--rate", "nan", "--sweep", "T", "--values", "5"],
+        ["price-curve", "--face", "100", "--rate", "inf", "--sweep", "T", "--values", "5"],
+        ["price-curve", "--face", "100", "--rate", "0.05", "--coupon-rate", "inf", "--sweep", "T", "--values", "5"],
+        ["price-curve", "--face", "100", "--rate", "0.05", "--coupon-rates", "0.1,nan"],
+        ["price-curve", "--face", "1e308", "--rate", "-0.5", "--sweep", "T", "--values", "1000"],
         ["price-curve", "--face", "100", "--rate", "0.05", "--sweep", "T", "--values", "5", "--out", "{f}/sub"],
         ["price-curve", "--face", "100", "--rate", "0.05", "--sweep", "T", "--values", "5", "--out", "{d}"],
         ["run", "{s}", "--transcript", "{f}/sub"],
