@@ -11,8 +11,10 @@ Each verb has one entry in `_VERBS`: its minimum argument count, a bind
 function and an executor.  `parse_scenario` reads every token once, before
 the run: the bind function checks the step's names against those the script
 has bound so far and parses its integers, amounts, bond quantities, rating
-indices and assert operands, and the step carries the results as its bound
-operands.  `ScenarioRunner.run` hands them to the executor, which looks the
+indices and assert operands.  A parsed step is the plain tuple `(lineno,
+verb, raw, execute, operands)`: its line number, its verb, its line without
+the comment, the verb's executor and the operands bound for it.
+`ScenarioRunner.run` hands the operands to the executor, which looks the
 names up and acts on the ledger without parsing anything again.
 
 Protocol rejections do not stop a run (they are data for `assert rejected`);
@@ -21,9 +23,10 @@ the environment (an unreadable report file, an empty faucet, a bond whose
 `issue` step was rejected), as `REJECTED(<code>: <detail>)`.
 
 A `report-put NAME file=PATH` reads a file in the script's directory, which
-the runner is given: PATH is relative to it, an absolute path or a `..`
-component is a parse error, and a path that a symlink leads out of the
-directory is unreadable, as is any file when the runner has no directory.
+the runner is given: PATH is relative to it, an absolute path, a `..`
+component or no file (`file=.`) is a parse error, and a path that a symlink
+leads out of the directory is unreadable, as is any file when the runner
+has no directory.
 
 An `offer` step's terms are bound to every `trade` step that names the
 offer; its delegated signature is built when such a trade runs, so offers
@@ -102,25 +105,13 @@ class AssertionFailure(RunStopped):
         super().__init__("assert_failed", detail)
 
 
-class Step(NamedTuple):
-    """One script line: its tokens, and its verb's executor with the operands
-    validation bound for it."""
-
-    lineno: int
-    verb: str
-    args: tuple
-    raw: str
-    execute: Callable[..., Optional[SubmitResult]]
-    operands: tuple
-
-
 @dataclass
 class RunOutcome:
     exit_code: int
     transcript: List[str] = field(default_factory=list)
 
     def transcript_text(self) -> str:
-        return "".join(line + "\n" for line in self.transcript)
+        return "\n".join([*self.transcript, ""])  # every line ends in a newline
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +159,14 @@ def parse_int(token: str, lineno: int = 0) -> int:
         raise ScenarioError(lineno, f"bad integer: {token}") from None
 
 
-def _parse_kv(args: tuple, lineno: int) -> dict:
+def _parse_kv(args: list, lineno: int) -> dict:
     pairs = {}
     for token in args:
         key, sep, value = token.partition("=")
         if not sep or not key or not value:
             raise ScenarioError(lineno, f"expected key=value, got: {token}")
+        if key in pairs:
+            raise ScenarioError(lineno, f"duplicate key: {key}")
         pairs[key] = value
     return pairs
 
@@ -212,26 +205,30 @@ class _Scope:
         return name
 
 
-def parse_scenario(text: str) -> List[Step]:
-    steps: List[Step] = []
+def parse_scenario(text: str) -> List[tuple]:
+    """Each step is the tuple `(lineno, verb, raw, execute, operands)`: `raw`
+    is the line without its comment; `execute(runner, *operands)` runs it."""
+    steps: List[tuple] = []
+    append = steps.append
+    verbs = _VERBS
     scope = _Scope()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if "#" in line:
             cut = _INLINE_COMMENT_RE.search(line)
             if cut:
                 line = line[: cut.start()].rstrip()
-        tokens = line.split()
-        verb, args = tokens[0], tuple(tokens[1:])
-        spec = _VERBS.get(verb)
+        verb, *args = line.split()
+        spec = verbs.get(verb)
         if spec is None:
             raise ScenarioError(lineno, f"unknown step: {verb}")
-        if len(args) < spec.min_args:
-            raise ScenarioError(lineno, f"{verb}: expected at least {spec.min_args} argument(s)")
+        min_args, bind, execute = spec
+        if len(args) < min_args:
+            raise ScenarioError(lineno, f"{verb}: expected at least {min_args} argument(s)")
         scope.line = line
-        steps.append(Step(lineno, verb, args, line, spec.execute, spec.bind(scope, lineno, args)))
+        append((lineno, verb, line, execute, bind(scope, lineno, args)))
     return steps
 
 
@@ -271,22 +268,22 @@ class ScenarioRunner:
             raise RunStopped("bond_not_issued", name)
         return dep
 
-    def run(self, steps: List[Step]) -> RunOutcome:
+    def run(self, steps: List[tuple]) -> RunOutcome:
         outcome = RunOutcome(EXIT_OK)
-        transcript = outcome.transcript
-        for n, step in enumerate(steps, start=1):
+        append = outcome.transcript.append
+        for n, (_, verb, _, execute, operands) in enumerate(steps, start=1):
             try:
-                result = step.execute(self, *step.operands)
+                result = execute(self, *operands)
             except RunStopped as failure:
-                transcript.append(f"STEP {n} {step.verb} -> REJECTED({failure.code}: {failure})")
+                append(f"STEP {n} {verb} -> REJECTED({failure.code}: {failure})")
                 outcome.exit_code = EXIT_FAILURE
                 return outcome
             if result is not None:
                 self.last_action = result
             if result is None or result.approved:
-                transcript.append(f"STEP {n} {step.verb} -> APPROVED")
+                append(f"STEP {n} {verb} -> APPROVED")
             else:
-                transcript.append(f"STEP {n} {step.verb} -> REJECTED({result.reason()})")
+                append(f"STEP {n} {verb} -> REJECTED({result.reason()})")
         return outcome
 
 
@@ -300,7 +297,7 @@ def run_scenario_text(text: str, directory=None) -> Tuple[RunOutcome, ScenarioRu
 # the verbs: how each binds its tokens, and what it does with them
 
 
-def _bind_holder(scope: _Scope, lineno: int, args: tuple) -> tuple:
+def _bind_holder(scope: _Scope, lineno: int, args: list) -> tuple:
     """BOND ACCOUNT, the first two arguments of most protocol steps."""
     return scope.ref(lineno, args[0], "bond"), scope.ref(lineno, args[1], "account")
 
@@ -476,7 +473,8 @@ def _bind_report_put(scope, lineno, args):
         data, path = payload[len("data="):].encode("utf-8"), None
     elif payload.startswith("file="):
         data, path = None, payload[len("file="):].strip()
-        if PurePath(path).is_absolute() or ".." in PurePath(path).parts:
+        pure = PurePath(path)
+        if not pure.parts or pure.is_absolute() or ".." in pure.parts:
             raise ScenarioError(lineno, f"report-put: file= must name a file in the script's directory: {path}")
     else:
         raise ScenarioError(lineno, "report-put: expected data=... or file=...")
@@ -572,7 +570,7 @@ def _bind_assert(scope, lineno, args):
     return _assert_compare, read, tuple(operands), cmp_token, _COMPARATORS[cmp_token], expected, label
 
 
-def _operand_parser(target: str, rest: tuple):
+def _operand_parser(target: str, rest: list):
     """How an assert's expected value is read: money, bonds or an integer."""
     if target == "stablecoin-balance" or (target == "global-state" and rest[1] == "reserve"):
         return parse_money

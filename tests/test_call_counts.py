@@ -4,14 +4,17 @@ repeats exactly from run to run, so a regression in the fixed cost of an
 action shows here without timing noise.  Each count is pinned at the value
 last measured (the same on 3.10 to 3.13), so a saved call cannot creep back.
 "coupon" is an investor's first claim, which builds the investor's fixed
-legs; "repeat coupon" is a later claim, which looks them up."""
+legs; "repeat coupon" is a later claim, which looks them up.  Parsing is
+pinned the same way: the calls that one more `offer` line costs."""
 import sys
 
 import pytest
 
 from bondsim import greenbond as gb
+from bondsim.scenario import parse_scenario
 
 from conftest import BondEnv
+from test_verb_table import SETUP
 
 UNIT = gb.UNIT
 MOST_CALLS = {
@@ -24,9 +27,11 @@ MOST_CALLS = {
     "principal": 75,
 }
 
+MOST_CALLS_PER_OFFER_PARSED = 7
 
-def counted(counts: dict, action: str, submit, *args) -> None:
-    """Submit one action, counting the Python functions it calls."""
+
+def calls_made(fn, *args) -> tuple:
+    """`fn(*args)` and the number of Python functions it called."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -36,11 +41,16 @@ def counted(counts: dict, action: str, submit, *args) -> None:
 
     sys.setprofile(profile)
     try:
-        result = submit(*args)
+        result = fn(*args)
     finally:
         sys.setprofile(None)
+    return result, calls
+
+
+def counted(counts: dict, action: str, submit, *args) -> None:
+    """Submit one action, counting the Python functions it calls."""
+    result, counts[action] = calls_made(submit, *args)
     assert result.approved, result.reason()
-    counts[action] = calls
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +88,11 @@ def counts():
 @pytest.mark.parametrize("action", MOST_CALLS)
 def test_action_makes_no_more_python_calls_than_pinned(counts, action):
     assert counts[action] <= MOST_CALLS[action]
+
+
+def test_parsing_an_offer_line_makes_no_more_python_calls_than_pinned():
+    offers = "".join(f"offer bond1 o{i} seller=inv1 price=$100 expiry=10000\n" for i in range(100))
+    parse_scenario(SETUP + offers)  # warm every parser once
+    _, setup_only = calls_made(parse_scenario, SETUP)
+    _, with_offers = calls_made(parse_scenario, SETUP + offers)
+    assert (with_offers - setup_only) / 100 <= MOST_CALLS_PER_OFFER_PARSED

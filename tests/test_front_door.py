@@ -93,7 +93,7 @@ def test_build_parser_returns_a_fresh_parser():
 def test_inline_comment_needs_whitespace_before_hash():
     text = "report-put r data=a#b\nreport-put s data=a #b\nreport-put t data=a\t#b c\n"
     steps = parse_scenario(text)
-    assert [s.raw for s in steps] == ["report-put r data=a#b", "report-put s data=a", "report-put t data=a"]
+    assert [raw for _, _, raw, _, _ in steps] == ["report-put r data=a#b", "report-put s data=a", "report-put t data=a"]
     outcome, runner = run_scenario_text(text)
     assert outcome.exit_code == EXIT_OK
     assert runner.store.fetch(runner.reports["r"]) == b"a#b"
@@ -180,6 +180,11 @@ def _run_cli(script: Path):
         "assert rating bond1 3 == 0",
         "fund-stablecoin inv1 $1e1000000",
         "buy bond1 inv2 1e1000000",
+        "issue bond2 operator=operator issuer=issuer verifier=verifier regulator=regulator bonds=10 bonds=20"
+        " rounds=2 start-buy=100 end-buy=200 maturity=400 cost=$100 coupon=$10 principal=$100",
+        "offer bond1 o seller=inv1 price=$1 expiry=10 seller=inv1",
+        "report-put r file=",
+        "report-put r file=.",
     ],
 )
 def test_bad_token_exits_2_with_its_line(line, tmp_path):

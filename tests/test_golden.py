@@ -4,6 +4,7 @@ old validator and dispatcher: in this interpreter, and in every CPython 3.10
 or later installed under the pyenv root (`$PYENV_ROOT`, or `~/.pyenv`)."""
 import json
 import os
+import random
 import re
 import subprocess
 from pathlib import Path
@@ -29,6 +30,29 @@ def test_output_matches_golden(script, command, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{script.stem}.{command}.txt").read_text()
+
+
+def test_offers_spliced_into_the_generated_base_keep_every_base_outcome(tmp_path, capsys):
+    """The scenario-replay workload's shape: 200 `offer` lines spread through
+    `bench/generated-base.bsim` after its issue step.  Offers bind names but
+    never touch the ledger, so each reads APPROVED, each base step keeps its
+    recorded outcome under its new step number, and the cost table stays the
+    base script's."""
+    base = [s for s in (line.strip() for line in SCRIPTS[2].read_text().splitlines()) if s and not s.startswith("#")]
+    outcomes = [line.split(" ", 2)[2] for line in (GOLDEN / "generated-base.run.txt").read_text().splitlines()]
+    steps = list(zip(base, outcomes))
+    first = next(i for i, s in enumerate(base) if s.startswith("issue ")) + 1
+    rng = random.Random(24)
+    for k in range(200):
+        offer = f"offer b o{k} seller=a{k % 4 + 1} price=${50 + k % 100} expiry={1000 + 37 * k}"
+        steps.insert(rng.randrange(first, len(steps) + 1), (offer, "offer -> APPROVED"))
+    script = tmp_path / "spliced.bsim"
+    script.write_text("".join(line + "\n" for line, _ in steps))
+
+    assert cli.main(["run", str(script)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"STEP {n} {outcome}" for n, (_, outcome) in enumerate(steps, 1)]
+    assert cli.main(["costs", str(script)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "generated-base.costs.txt").read_text()
 
 
 # The child prints its version first, so an interpreter that writes nothing did not start.
