@@ -376,10 +376,11 @@ def _compile(owner, name: str, arguments: str, side: str, render: Callable) -> N
 
 class _Leg:
     """One transaction of a shape: kind, pins, fields only the builder writes,
-    and, for a call of the main app, its action."""
+    for a call of the main app its action, and the minimum-balance entry it
+    locks for its sender."""
 
-    def __init__(self, kind: type, build: Optional[dict] = None, action: Optional[bytes] = None, **pins):
-        self.kind, self.extra, self.action = kind, build or {}, action
+    def __init__(self, kind: type, build: Optional[dict] = None, action: Optional[bytes] = None, locks: int = 0, **pins):
+        self.kind, self.extra, self.action, self.locks = kind, build or {}, action, locks
         self.pins = {field: _pin(operand) for field, operand in pins.items()}
 
 
@@ -387,15 +388,16 @@ class _Shape:
     """An action's legs in group order, and its cost rows (the index of the
     leg whose sender pays -> the row's label).  `build(dep, actor, **own)`
     makes the group.  `costs`: per row, (payer leg, label, the legs with the
-    payer leg's `sender` pin, whose fees it pays, and its payments into an
-    escrow: fee refunds, or issuance's funding)."""
+    payer leg's `sender` pin, whose fees it pays, its payments into an
+    escrow: fee refunds, or issuance's funding, and the minimum-balance
+    entries those legs lock)."""
 
     def __init__(self, labels: dict, *legs: _Leg):
         self.legs, self.costs = legs, []
         for payer, label in labels.items():
             paid = tuple(i for i, leg in enumerate(legs) if leg.pins["sender"] == legs[payer].pins["sender"])
             refunds = tuple(i for i in paid if legs[i].kind is Payment and legs[i].pins["receiver"].value in _ESCROWS)
-            self.costs.append((payer, label, paid, refunds))
+            self.costs.append((payer, label, paid, refunds, sum(legs[i].locks for i in paid)))
         _compile(self, "build", "dep, actor", "dep", self._render)
 
     def _render(self, source: Callable) -> list:
@@ -519,6 +521,18 @@ _SETUP = _Shape(
     _bond_move(_BY_BOND_ESCROW, revoke_target="$actor", receiver="$bond_escrow", amount="$supply"),
     _Leg(Payment, _BY_BOND_ESCROW, sender="$bond_escrow", receiver="$stablecoin_escrow", amount="$seed"),
 )
+# registration, in two groups the investor pays: the zero self-transfer that
+# opts into the bond asset, then the opt-in of the main app
+_OPT_IN_ASSET = _Shape(
+    {0: ROW_OPT_IN_ASA},
+    _Leg(AssetTransfer, sender="$actor", asset_id="$bond_asset", receiver="$actor", amount="0", locks=ASSET_OPT_IN_MIN_BALANCE),
+)
+_OPT_IN_MAIN = _Shape(
+    {0: ROW_OPT_IN_APP},
+    _Leg(AppCall, sender="$actor", app_id="$main_app", on_complete="OPT_IN", locks=MAIN_APP_MIN_BALANCE),
+)
+# a report anchor: a zero self-payment carrying the note `reports` renders
+_ANCHOR = _Shape({0: ROW_UPLOAD_REPORT}, _Leg(Payment, sender="$actor", receiver="$actor", amount="0", note="$note"))
 _FREEZE_ALL = _Shape({0: "Freeze"}, _main_call(ACT_FREEZE_ALL, "$value"))
 _FREEZE = _Shape({0: "Freeze"}, _main_call(ACT_FREEZE, "$value", build={"accounts": "($target,)"}))
 _SET_TRADE = _Shape({0: "Trade Sell"}, _main_call(ACT_SET_TRADE, "$quantity"))
@@ -1085,10 +1099,10 @@ def investor_local_state(ledger: Ledger, dep: BondDeployment, investor: Address)
 
 
 # ---------------------------------------------------------------------------
-# submitting actions: build, submit, and record costs on approval
+# submitting actions: build, submit, and leave the cost entry on approval
 #
-# Each `submit_*` builds its group through the module's `build_*_group`, then
-# takes the one path below.
+# Each action builds its group from its shape and takes the one path below; a
+# report anchor, which `reports.anchor_report` submits, leaves the same entry.
 
 
 def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: TransactionGroup) -> SubmitResult:
@@ -1102,21 +1116,13 @@ def _submit(ledger: Ledger, dep: BondDeployment, shape: _Shape, group: Transacti
 
 
 def register_investor(ledger: Ledger, dep: BondDeployment, investor: Address) -> SubmitResult:
-    """Opt the investor into the bond asset and the main app (both paid by
-    the investor), recording the two opt-in cost rows."""
-    result = ledger.opt_in_asset(investor, dep.bond_asset_id)
-    if result.approved:
-        ledger.cost.record(
-            investor, ROW_OPT_IN_ASA, min_delta=ASSET_OPT_IN_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
-        )
-    elif result.rejection.code != "already_opted_in":
-        return result
-    result = ledger.submit_group([AppCall(investor, dep.main_app_id, OPT_IN)])
-    if result.approved:
-        ledger.cost.record(
-            investor, ROW_OPT_IN_APP, min_delta=MAIN_APP_MIN_BALANCE, fee=FLAT_FEE, tag=dep.main_app_id
-        )
-    return result
+    """Opt the investor into the bond asset, unless it already holds it, then
+    into the main app: two groups the investor pays, each costed by its shape."""
+    if dep.bond_asset_id not in ledger._account(investor).holdings:
+        result = _submit(ledger, dep, _OPT_IN_ASSET, _OPT_IN_ASSET.build(dep, investor))
+        if result.rejected:
+            return result
+    return _submit(ledger, dep, _OPT_IN_MAIN, _OPT_IN_MAIN.build(dep, investor))
 
 
 def submit_freeze_all(ledger: Ledger, dep: BondDeployment, sender: Address, value: int) -> SubmitResult:
@@ -1162,5 +1168,5 @@ def submit_rate(ledger: Ledger, dep: BondDeployment, verifier: Address, rating: 
 def submit_report_anchor(ledger: Ledger, dep: BondDeployment, sender: Address, cid: str) -> SubmitResult:
     result = reports.anchor_report(ledger, sender, dep.manage_app_id, cid)
     if result.approved:
-        ledger.cost.record(sender, ROW_UPLOAD_REPORT, fee=FLAT_FEE, tag=dep.main_app_id)
+        ledger.cost.pending.append((_ANCHOR.costs, dep.main_app_id, len(ledger._txns) - 1))
     return result

@@ -335,13 +335,14 @@ class CostRow:
 
 
 class CostLedger:
-    """Labelled per-action cost rows for cost reporting: what each actor paid
-    in fees, into escrows and in minimum balance.  `record` makes a row at
-    once.  An approved group of an action leaves only its row specs, its
-    tag and the log index of its first transaction in `pending`, and `rows`
-    makes its rows from the committed transactions when read.  A spec is
-    (payer leg, label, the legs whose fees the payer pays, the legs whose
-    amounts it paid into an escrow), as in `greenbond._Shape.costs`."""
+    """Labelled per-action cost rows: what each actor paid in fees, into
+    escrows and in minimum balance.  An approved group of an action leaves
+    only its row specs, its tag and the log index of its first transaction in
+    `pending`, and `rows` makes its rows from the committed transactions when
+    read.  A spec is (payer leg, label, the legs whose fees the payer pays,
+    those whose amounts it paid into an escrow, the minimum-balance entries
+    they lock), as in `greenbond._Shape.costs`.  `record` makes a row at once:
+    only issuance does, for its ledger operations and its published figure."""
 
     def __init__(self, txns: list):
         self._txns = txns  # the ledger's committed transactions
@@ -349,8 +350,8 @@ class CostLedger:
         self._rows: list = []
         self._lock = threading.Lock()
 
-    def record(self, actor: Address, label: str, *, amount: int = 0, min_delta: int = 0, fee: int = 0, tag: Optional[int] = None) -> None:
-        self.pending.append(CostRow(actor, label, amount, min_delta, fee, tag))
+    def record(self, actor: Address, label: str, *, min_delta: int = 0, fee: int = 0, tag: Optional[int] = None) -> None:
+        self.pending.append(CostRow(actor, label, 0, min_delta, fee, tag))
 
     @property
     def rows(self) -> list:
@@ -367,22 +368,15 @@ class CostLedger:
                         rows.append(entry)
                         continue
                     specs, tag, start = entry
-                    for payer, label, paid, refunds in specs:
+                    for payer, label, paid, refunds, locked in specs:
                         amount = sum(txns[start + leg].amount for leg in refunds)
                         fee = sum(txns[start + leg].fee for leg in paid)
-                        rows.append(CostRow(txns[start + payer].sender, label, amount, 0, fee, tag))
+                        rows.append(CostRow(txns[start + payer].sender, label, amount, locked, fee, tag))
                 del pending[:stop]  # only now: a reader that finds `pending` empty finds every row made
         return rows
 
     def rows_for(self, actor: Optional[Address] = None, tag: Optional[int] = None) -> list:
-        out = []
-        for row in self.rows:
-            if actor is not None and row.actor != actor:
-                continue
-            if tag is not None and row.tag != tag:
-                continue
-            out.append(row)
-        return out
+        return [row for row in self.rows if (actor is None or row.actor == actor) and (tag is None or row.tag == tag)]
 
     def total_for(self, actor: Address) -> int:
         return sum(row.total for row in self.rows_for(actor))
@@ -493,7 +487,7 @@ class Ledger:
     def grant_holding(self, addr: Address, asset_id: int) -> None:
         """Create an asset holding as deployment bookkeeping: no fee and no
         minimum-balance entry.  Used for contract-account escrows and the
-        stablecoin dispenser; ordinary accounts opt in via `opt_in_asset`."""
+        stablecoin dispenser; ordinary accounts opt in with a zero self-transfer."""
         self.asset(asset_id)
         self._account(addr).holdings.setdefault(asset_id, 0)
 
@@ -507,13 +501,6 @@ class Ledger:
         self.grant_holding(target, asset_id)
         src.holdings[asset_id] -= amount
         self._account(target).holdings[asset_id] += amount
-
-    def opt_in_asset(self, addr: Address, asset_id: int) -> SubmitResult:
-        if asset_id not in self._assets:
-            return SubmitResult(False, Rejection("unknown_asset", {"asset": asset_id}))
-        if asset_id in self._account(addr).holdings:
-            return SubmitResult(False, Rejection("already_opted_in", {"asset": asset_id}))
-        return self.submit_group([AssetTransfer(sender=addr, asset_id=asset_id, receiver=addr, amount=0)])
 
     # -- applications --------------------------------------------------------
 

@@ -7,13 +7,13 @@ one line per step in the form
 
     STEP <n> <action> -> APPROVED|REJECTED(<reason>)
 
-Each verb has one entry in `_VERBS`: its minimum argument count, a bind
-function and an executor.  `parse_scenario` reads every token once, before
-the run: the bind function checks the step's names against those the script
-has bound so far and parses its integers, amounts, bond quantities, rating
-indices and assert operands.  A parsed step is the plain tuple `(lineno,
-verb, raw, execute, operands)`: its line number, its verb, its line without
-the comment, the verb's executor and the operands bound for it.
+Each verb has one entry in `_VERBS`: its least and most argument counts, a
+bind function and an executor.  `parse_scenario` reads every token once,
+before the run: the bind function checks the step's names against those the
+script has bound so far and parses its integers, amounts, bond quantities,
+rating indices and assert operands.  A parsed step is the plain tuple
+`(lineno, verb, raw, execute, operands)`: its line number, its verb, its line
+without the comment, the verb's executor and the operands bound for it.
 `ScenarioRunner.run` hands the operands to the executor, which looks the
 names up and acts on the ledger without parsing anything again.
 
@@ -177,6 +177,7 @@ def _parse_kv(args: list, lineno: int) -> dict:
 
 class _Verb(NamedTuple):
     min_args: int
+    max_args: Optional[int]  # None: the bind function checks the rest of the line
     bind: Callable[..., tuple]  # (scope, lineno, args) -> operands
     execute: Callable[..., Optional[SubmitResult]]  # (runner, *operands) -> result
 
@@ -224,9 +225,11 @@ def parse_scenario(text: str) -> List[tuple]:
         spec = verbs.get(verb)
         if spec is None:
             raise ScenarioError(lineno, f"unknown step: {verb}")
-        min_args, bind, execute = spec
+        min_args, max_args, bind, execute = spec
         if len(args) < min_args:
             raise ScenarioError(lineno, f"{verb}: expected at least {min_args} argument(s)")
+        if max_args is not None and len(args) > max_args:
+            raise ScenarioError(lineno, f"{verb}: expected at most {max_args} argument(s)")
         scope.line = line
         append((lineno, verb, line, execute, bind(scope, lineno, args)))
     return steps
@@ -539,8 +542,8 @@ _ASSERT_TARGETS = {
 def _bind_assert(scope, lineno, args):
     target, rest = args[0], args[1:]
     if target == "rejected":
-        if rest and rest[0] not in ("true", "false"):
-            raise ScenarioError(lineno, "assert rejected: expected true or false")
+        if len(rest) > 1 or (rest and rest[0] not in ("true", "false")):
+            raise ScenarioError(lineno, "assert rejected: expected nothing, true or false")
         return _assert_rejected, not rest or rest[0] == "true"
     if target not in _ASSERT_TARGETS:
         raise ScenarioError(lineno, f"unknown assert target: {target}")
@@ -602,26 +605,26 @@ def _assert_compare(runner, read, names, cmp_token, compare, expected, label):
 
 
 _VERBS = {
-    "create-account": _Verb(1, _bind_create_account, _create_account),
-    "fund-algos": _Verb(2, _bind_fund_algos, _fund_algos),
-    "fund-stablecoin": _Verb(2, _bind_fund_stablecoin, _fund_stablecoin),
-    "issue": _Verb(2, _bind_issue, _issue),
-    "approve-bond": _Verb(1, _bind_approve_bond, _freeze),
-    "approve-account": _Verb(2, _bind_approve_account, _approve_account),
-    "freeze": _Verb(3, _bind_freeze, _freeze),
-    "buy": _Verb(3, _bind_quantity, _submits("buy")),
-    "set-trade": _Verb(3, _bind_quantity, _submits("set_trade")),
-    "offer": _Verb(2, _bind_offer, _offer),
-    "trade": _Verb(4, _bind_trade, _trade),
-    "fund-escrow": _Verb(3, _bind_fund_escrow, _submits("fund_escrow")),
-    "rate": _Verb(3, _bind_rate, _submits("rate")),
-    "claim-coupon": _Verb(2, _bind_holder, _submits("coupon")),
-    "claim-principal": _Verb(2, _bind_holder, _submits("principal")),
-    "claim-default": _Verb(2, _bind_holder, _submits("default")),
-    "report-put": _Verb(2, _bind_report_put, _report_put),
-    "report-anchor": _Verb(3, _bind_report_anchor, _report_anchor),
-    "advance-time": _Verb(1, _bind_advance_time, _advance_time),
-    "assert": _Verb(1, _bind_assert, _assert),
+    "create-account": _Verb(1, 1, _bind_create_account, _create_account),
+    "fund-algos": _Verb(2, 2, _bind_fund_algos, _fund_algos),
+    "fund-stablecoin": _Verb(2, 2, _bind_fund_stablecoin, _fund_stablecoin),
+    "issue": _Verb(2, None, _bind_issue, _issue),
+    "approve-bond": _Verb(1, 2, _bind_approve_bond, _freeze),
+    "approve-account": _Verb(2, 3, _bind_approve_account, _approve_account),
+    "freeze": _Verb(3, 3, _bind_freeze, _freeze),
+    "buy": _Verb(3, 3, _bind_quantity, _submits("buy")),
+    "set-trade": _Verb(3, 3, _bind_quantity, _submits("set_trade")),
+    "offer": _Verb(2, None, _bind_offer, _offer),
+    "trade": _Verb(4, 4, _bind_trade, _trade),
+    "fund-escrow": _Verb(3, 3, _bind_fund_escrow, _submits("fund_escrow")),
+    "rate": _Verb(3, 3, _bind_rate, _submits("rate")),
+    "claim-coupon": _Verb(2, 2, _bind_holder, _submits("coupon")),
+    "claim-principal": _Verb(2, 2, _bind_holder, _submits("principal")),
+    "claim-default": _Verb(2, 2, _bind_holder, _submits("default")),
+    "report-put": _Verb(2, None, _bind_report_put, _report_put),
+    "report-anchor": _Verb(3, 3, _bind_report_anchor, _report_anchor),
+    "advance-time": _Verb(1, 1, _bind_advance_time, _advance_time),
+    "assert": _Verb(1, None, _bind_assert, _assert),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from bondsim import greenbond as gb
 from bondsim.greenbond import ESCROW_FUNDING, ESCROW_SEED, UNIT
+from bondsim.reports import ReportNote, build_anchor_txn
 
 SHAPES = {name: shape for name, shape in vars(gb).items() if isinstance(shape, gb._Shape)}
 
@@ -49,6 +50,9 @@ def operands(env):
         "_COUPON": dict(payout=9 * UNIT),
         "_PRINCIPAL": dict(holdings=11 * UNIT),
         "_DEFAULT": dict(holdings=11 * UNIT, payout=13 * UNIT),
+        "_OPT_IN_ASSET": dict(),
+        "_OPT_IN_MAIN": dict(),
+        "_ANCHOR": dict(note=ReportNote(dep.manage_app_id, "ab" * 32).render()),
     }
     return dep, actor, own
 
@@ -64,3 +68,12 @@ def test_positional_builder_equals_keyword_builder(operands, name):
     group = shape.build(dep, actor, **own[name])
     assert group == keyword_build(shape)(dep, actor, **own[name])
     assert [type(t) for t in group.txns] == [leg.kind for leg in shape.legs]
+
+
+def test_the_anchor_shape_builds_the_transaction_reports_submits(operands):
+    """A report anchor is submitted by `reports.anchor_report` and costed by
+    `_ANCHOR`: both make the same zero self-payment."""
+    dep, actor, own = operands
+    cid = "ab" * 32
+    group = gb._ANCHOR.build(dep, actor, **own["_ANCHOR"])
+    assert group.txns == (build_anchor_txn(actor, dep.manage_app_id, cid),)

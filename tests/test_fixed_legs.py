@@ -15,6 +15,7 @@ import pytest
 from bondsim import greenbond as gb
 from bondsim.greenbond import ESCROW_FUNDING, ESCROW_SEED, UNIT
 from bondsim.programs import LogicSig
+from bondsim.reports import ReportNote
 
 from conftest import BondEnv
 from test_applied_log import coupon_ready
@@ -24,7 +25,7 @@ USD = UNIT
 # the legs of each shape that take no operand of the action and no earlier leg
 FIXED = {
     "_LINK": (0, 1), "_SETUP": (0,), "_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5),
-    "_DEFAULT": (0, 1, 4, 5),
+    "_DEFAULT": (0, 1, 4, 5), "_OPT_IN_ASSET": (0,), "_OPT_IN_MAIN": (0,),
 }
 
 
@@ -48,6 +49,9 @@ def own_operands(dep, actor, other) -> dict:
         "_COUPON": dict(payout=9 * UNIT),
         "_PRINCIPAL": dict(holdings=11 * UNIT),
         "_DEFAULT": dict(holdings=11 * UNIT, payout=13 * UNIT),
+        "_OPT_IN_ASSET": dict(),
+        "_OPT_IN_MAIN": dict(),
+        "_ANCHOR": dict(note=ReportNote(dep.manage_app_id, "ab" * 32).render()),
     }
 
 

@@ -169,6 +169,10 @@ def _run_cli(script: Path):
     )
 
 
+# a token past the verb's last argument, on lines that parse without it
+TRAILING = ["create-account a extra", "fund-algos inv1 100 200", "advance-time 500 6", "assert rejected false junk"]
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -185,6 +189,7 @@ def _run_cli(script: Path):
         "offer bond1 o seller=inv1 price=$1 expiry=10 seller=inv1",
         "report-put r file=",
         "report-put r file=.",
+        *TRAILING,
     ],
 )
 def test_bad_token_exits_2_with_its_line(line, tmp_path):
@@ -195,6 +200,15 @@ def test_bad_token_exits_2_with_its_line(line, tmp_path):
     assert f"line {SETUP_LINES + 1}:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("line", TRAILING)
+def test_only_the_trailing_token_makes_the_line_bad(line):
+    """Each line of `TRAILING` parses without its last token, so the token
+    past the verb's last argument is what the parser refuses."""
+    parse_scenario(SETUP + line.rsplit(" ", 1)[0] + "\n")
+    with pytest.raises(ScenarioError, match=f"^line {SETUP_LINES + 1}: .*expected (at most|nothing)"):
+        parse_scenario(SETUP + line + "\n")
 
 
 @pytest.mark.parametrize(

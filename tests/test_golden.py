@@ -7,11 +7,15 @@ import os
 import random
 import re
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from bondsim import cli
+from bondsim import greenbond as gb
+from bondsim.ledger import BASE_MIN_BALANCE, FLAT_FEE
+from bondsim.scenario import run_scenario_text
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -30,6 +34,23 @@ def test_output_matches_golden(script, command, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == (GOLDEN / f"{script.stem}.{command}.txt").read_text()
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_cost_rows_are_a_view_of_the_ledger(script):
+    """Every named account's cost rows add up to the fees the ledger took from
+    it and the minimum-balance entries it holds, so no committed group goes
+    uncosted.  The one exception is pinned: the published configure row
+    charges the operator one fee more, for the setup leg the bond escrow pays."""
+    outcome, runner = run_scenario_text(script.read_text(), script.parent)
+    assert outcome.exit_code == 0
+    led = runner.ledger
+    configured = Counter(row.actor for row in led.cost.rows if row.label == gb.ROW_CONFIGURE)
+    assert configured
+    for addr in runner.accounts.values():
+        rows = led.cost.rows_for(addr)
+        assert sum(row.fee for row in rows) == led.fees_paid(addr) + configured[addr] * FLAT_FEE
+        assert sum(row.min_delta for row in rows) == led.min_balance(addr) - BASE_MIN_BALANCE
 
 
 def test_offers_spliced_into_the_generated_base_keep_every_base_outcome(tmp_path, capsys):

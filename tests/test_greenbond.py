@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bondsim import greenbond as gb
-from bondsim.ledger import AppCall, AssetTransfer, Payment, Rejection
+from bondsim.ledger import (
+    ASSET_CREATE_MIN_BALANCE,
+    BASE_MIN_BALANCE,
+    FLAT_FEE,
+    AppCall,
+    AssetTransfer,
+    InsufficientBalance,
+    Payment,
+    Rejection,
+)
 from bondsim.programs import OnComplete, StatefulProgram, StateSchema
 
 UNIT = gb.UNIT
@@ -156,10 +165,28 @@ def test_issuance_costs_zero_rounds(env):
     assert issuance_rows(env, dep)["Deploy Manage App"] == 151_000
 
 
+# what issuance spends in the default env: the escrows' funding, seven fees,
+# and the minimum-balance entries of the bond asset, the main app and the
+# manage app (100,000 plus one rating slot at 50,000)
+ISSUANCE_SPEND = gb.ESCROW_FUNDING + 7 * FLAT_FEE + ASSET_CREATE_MIN_BALANCE + gb.MAIN_APP_MIN_BALANCE + 150_000
+
+
+def test_issuance_spends_exactly_what_it_requires(env):
+    assert ISSUANCE_SPEND == 643_000
+    env.operator = env.new_account("exact", algos=BASE_MIN_BALANCE + ISSUANCE_SPEND)
+    env.deploy()
+    led = env.ledger
+    assert led.algo_balance(env.operator) == led.min_balance(env.operator)
+
+
 def test_issuance_requires_operator_funding(env):
-    env.operator = env.new_account("pauper", algos=400_000)
-    with pytest.raises(Exception):
+    env.operator = env.new_account("pauper", algos=BASE_MIN_BALANCE + ISSUANCE_SPEND - 1)
+    led = env.ledger
+    before = led.observable_state()
+    with pytest.raises(InsufficientBalance, match="operator needs 643000 spendable microAlgos for issuance, has 642999"):
         env.deploy()
+    assert led.observable_state() == before  # no app registered, the operator's balance untouched
+    assert led.algo_balance(env.operator) == BASE_MIN_BALANCE + ISSUANCE_SPEND - 1
 
 
 def test_issuance_rejects_bad_params(env):

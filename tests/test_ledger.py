@@ -27,6 +27,11 @@ def funded(ledger, amount=1_000_000, label=None):
     return addr
 
 
+def opt_in(ledger, holder, asset):
+    """The holder's zero self-transfer of the asset, which opts it in."""
+    return ledger.submit_group([AssetTransfer(sender=holder, asset_id=asset, receiver=holder, amount=0)])
+
+
 # ---------------------------------------------------------------------------
 # accounts and funding
 
@@ -90,20 +95,28 @@ def test_opt_in_asset_cost(ledger):
     creator = funded(ledger)
     asset = ledger.create_asset(creator, total=1000, decimals=0)
     holder = funded(ledger)
-    result = ledger.opt_in_asset(holder, asset)
+    result = opt_in(ledger, holder, asset)
     assert result.approved
     assert ledger.fees_paid(holder) == FLAT_FEE
     assert ledger.min_balance(holder) == 200_000
     assert ledger.asset_balance(holder, asset) == 0
 
 
-def test_double_opt_in_rejected(ledger):
+def test_second_opt_in_is_a_plain_zero_transfer(ledger):
+    """Only a holder's first zero self-transfer opts it in: a second one moves
+    nothing, locks no second entry, and is refused for a frozen asset."""
     creator = funded(ledger)
     asset = ledger.create_asset(creator, total=1000, decimals=0)
+    frozen = ledger.create_asset(creator, total=1000, decimals=0, default_frozen=True)
     holder = funded(ledger)
-    assert ledger.opt_in_asset(holder, asset).approved
-    result = ledger.opt_in_asset(holder, asset)
-    assert result.rejected and result.rejection.code == "already_opted_in"
+    assert opt_in(ledger, holder, asset).approved
+    assert opt_in(ledger, holder, asset).approved
+    assert ledger.fees_paid(holder) == 2 * FLAT_FEE
+    assert ledger.min_balance(holder) == 200_000
+    assert opt_in(ledger, holder, frozen).approved
+    result = opt_in(ledger, holder, frozen)
+    assert result.rejected and result.rejection.code == "frozen_holding"
+    assert ledger.min_balance(holder) == 300_000
 
 
 def test_transfer_to_non_opted_in_rejected(ledger):
@@ -118,7 +131,7 @@ def test_default_frozen_holding(ledger):
     creator = funded(ledger)
     asset = ledger.create_asset(creator, total=1000, decimals=0, default_frozen=True)
     holder = funded(ledger)
-    assert ledger.opt_in_asset(holder, asset).approved
+    assert opt_in(ledger, holder, asset).approved
     assert ledger.asset(asset).default_frozen is True
     # the holder's own signature cannot move a frozen holding
     result = ledger.submit_group([AssetTransfer(sender=creator, asset_id=asset, receiver=holder, amount=5)])
@@ -130,7 +143,7 @@ def test_clawback_moves_frozen_holdings(ledger):
     authority = funded(ledger)
     asset = ledger.create_asset(creator, total=1000, decimals=0, default_frozen=True, clawback_addr=authority)
     holder = funded(ledger)
-    assert ledger.opt_in_asset(holder, asset).approved
+    assert opt_in(ledger, holder, asset).approved
     result = ledger.submit_group(
         [AssetTransfer(sender=authority, asset_id=asset, receiver=holder, amount=5, revoke_target=creator)]
     )
@@ -149,7 +162,7 @@ def test_asset_supply_is_conserved(ledger):
     asset = ledger.create_asset(creator, total=1_000, decimals=0)
     holders = [funded(ledger) for _ in range(3)]
     for h in holders:
-        assert ledger.opt_in_asset(h, asset).approved
+        assert opt_in(ledger, h, asset).approved
     rng = random.Random(7)
     parties = [creator] + holders
     for _ in range(50):
@@ -331,7 +344,7 @@ def test_determinism(ledger):
         led.fund_algos(a, 5_000_000)
         led.fund_algos(b, 5_000_000)
         asset = led.create_asset(a, total=100, decimals=0)
-        led.opt_in_asset(b, asset)
+        opt_in(led, b, asset)
         led.submit_group([AssetTransfer(sender=a, asset_id=asset, receiver=b, amount=40)])
         led.advance_time(123)
         led.submit_group([Payment(sender=b, receiver=a, amount=250_000)])

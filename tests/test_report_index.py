@@ -54,7 +54,7 @@ def make_ledger(cls):
         led.fund_algos(name, 10**9)
     assert led.create_asset("a0", total=10**6, decimals=0) == ASSET
     for name in SENDERS[1:]:
-        assert led.opt_in_asset(name, ASSET).approved
+        assert led.submit_group([AssetTransfer(sender=name, asset_id=ASSET, receiver=name, amount=0)]).approved
     program = StatefulProgram("accept-all", StateSchema(), approval=lambda ctx: None)
     assert led.register_app(program, "a0") == APP
     return led

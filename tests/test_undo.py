@@ -88,7 +88,7 @@ def build(cls):
     assert led.create_asset("a1", total=100, decimals=0, default_frozen=True) == FROZEN_ASSET
     assert led.register_app(probe_program(), "creator") == APP
     for holder in ("a1", "a2"):
-        assert led.opt_in_asset(holder, ASSET).approved
+        assert led.submit_group([AssetTransfer(sender=holder, asset_id=ASSET, receiver=holder, amount=0)]).approved
     assert led.submit_group([AssetTransfer(sender="a0", asset_id=ASSET, receiver="a1", amount=300)]).approved
     assert led.submit_group([AppCall(sender="a1", app_id=APP, on_complete=OnComplete.OPT_IN)]).approved
     return led
