@@ -85,7 +85,7 @@ KEY_RESERVE = b"Reserve"
 KEY_FROZEN = b"Frozen"
 KEY_TRADE = b"Trade"
 
-# app configuration keys (written once at deployment, then frozen)
+# app configuration keys, which each app's one-shot link writes at deployment
 CFG_BOND_ASSET = "bond_asset"
 CFG_BOND_ESCROW = "bond_escrow"
 CFG_STABLECOIN_ESCROW = "stablecoin_escrow"
@@ -404,8 +404,9 @@ class _Shape:
         """Each leg as one positional call, in its class's field order up to the
         last field it sets, bound to `t<index>` for the later legs that read it.
         A fixed leg reads its operands off `dep` when the actor first needs it,
-        and its source text is its key in `dep._fixed_legs`."""
-        legs = []
+        and its source text is its key in `dep._fixed_legs`.  A shape whose
+        every leg is fixed is sent once per actor, so it caches none."""
+        calls, legs = [], []
         for leg in self.legs:
             given = {**{field: pin.value for field, pin in leg.pins.items()}, **leg.extra}
             kind = fields(leg.kind)
@@ -414,12 +415,14 @@ class _Shape:
             values = [given.get(f.name, default) for f, default in zip(kind, defaults)]
             while values[-1] == defaults[len(values) - 1]:
                 values.pop()
-            call = f"{leg.kind.__name__}({', '.join(values)})"
-            if _EARLIER.search(call) or not set(_OPERAND.findall(call)) <= _SOURCES.keys():
-                call = source(call)
-            else:
+            calls.append(f"{leg.kind.__name__}({', '.join(values)})")
+        is_fixed = [not _EARLIER.search(call) and set(_OPERAND.findall(call)) <= _SOURCES.keys() for call in calls]
+        for call, cached in zip(calls, is_fixed):
+            if cached and not all(is_fixed):
                 call = _OPERAND.sub(lambda match: _SOURCES[match.group(1)][0], call)
                 call = f"(legs := fixed[{call!r}]).get(actor) or legs.setdefault(actor, {call})"
+            else:
+                call = source(call)
             legs.append(f"(t{len(legs)} := {call})")
         group = _EARLIER.sub(r"t\1", f"return TransactionGroup(({', '.join(legs)},))")
         return ["fixed = dep._fixed_legs", group] if "fixed[" in group else [group]
@@ -498,12 +501,9 @@ def _surrender(action: bytes, check: bytes, label: str, payout: str) -> _Shape:
 
 
 def _link(app: str, peer: str) -> _Leg:
-    """A deployment-time update of an app: the bond, both escrows and its peer
-    app into its configuration, then the one-shot finalize."""
-    config = {CFG_BOND_ASSET: "$bond_asset", CFG_BOND_ESCROW: "$bond_escrow",
-              CFG_STABLECOIN_ESCROW: "$stablecoin_escrow", CFG_PEER_APP: peer}
-    pairs = "".join(f" {key.encode('ascii')!r}, str({value}).encode('ascii')," for key, value in config.items())
-    args = f"(b'configure',{pairs} b'finalize')"
+    """The deployment-time update that links an app once: the bond asset,
+    both escrows and its peer app, the one form `_handle_reconfigure` reads."""
+    args = _action(b"configure", "$bond_asset", "$bond_escrow", "$stablecoin_escrow", peer)
     return _Leg(AppCall, sender="$actor", app_id=app, on_complete="UPDATE_APPLICATION", args=args)
 
 
@@ -594,28 +594,22 @@ _CLAIM_DEFAULT_PAYOUT = _Check(_DEFAULT, {3: ("asset_id", "receiver", "amount")}
 # stateful programs
 
 
-_INT_CONFIG_KEYS = {CFG_BOND_ASSET, CFG_PEER_APP}
-
-
 def _handle_reconfigure(ctx: CallContext) -> None:
-    # deployment-time linking; a one-shot finalize flag disables it for good
-    if ctx.finalized:
+    """An update or deletion by the creator.  An update links the app, in the
+    one form `_link` builds (ids in decimal, ASCII addresses); once the app's
+    configuration names its peer, it refuses any update or deletion."""
+    if CFG_PEER_APP in ctx.app_config:
         ctx.deny("finalized")
     if ctx.sender != ctx.creator:
         ctx.deny("not_creator")
     if ctx.on_complete is DELETE_APPLICATION:
         return
-    ctx.require(len(ctx.args) >= 1 and ctx.arg(0) == b"configure", "bad_args")
-    args = iter(ctx.args[1:])
-    for token in args:
-        if token == b"finalize":
-            ctx.finalize()
-            continue
-        raw = next(args, None)
-        if raw is None:
-            ctx.deny("bad_args")
-        key, raw = token.decode("ascii"), raw.decode("ascii")
-        ctx.config_put(key, int(raw) if key in _INT_CONFIG_KEYS else raw)
+    ctx.require(len(ctx.args) == 5 and ctx.args[0] == b"configure", "bad_args")
+    ctx.config_put(CFG_BOND_ASSET, ctx.int_arg(1))
+    for index, key in ((2, CFG_BOND_ESCROW), (3, CFG_STABLECOIN_ESCROW)):
+        ctx.require(ctx.args[index].isascii(), "bad_arg", index=index)
+        ctx.config_put(key, ctx.args[index].decode("ascii"))
+    ctx.config_put(CFG_PEER_APP, ctx.int_arg(4))
 
 
 def _require_active(ctx: CallContext, params: BondParams, *addrs: Address) -> None:

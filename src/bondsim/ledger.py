@@ -210,9 +210,11 @@ class Account:
 
 @dataclass
 class AppState:
+    """An app's global state and configuration.  No ledger flag makes an app
+    immutable: its own program refuses updates and deletions, as on chain."""
+
     global_state: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    finalized: bool = False
 
 
 @dataclass(frozen=True)
@@ -239,23 +241,21 @@ _ABSENT = object()  # a journal entry's previous value for a key that was not th
 class _Undo:
     """Rollback record of one group: it saves what each write overwrites.
     `account` and `charge` save an account's balance and minimum on the
-    group's first write to it, and `finalize` an app's flag; fee totals are
-    folded from the committed transactions when read, so a group never
-    writes one.  `put`, `drop` and `move` journal each dict write (holdings,
-    local state, an app's global state and config, the app map) as the key's
-    previous value.  `rollback` replays the journal in reverse and restores
-    the saved scalars, so accounts and app states keep their identity.  The
-    saved accounts are exactly the accounts the group wrote, whose minimum
-    balances the group must leave intact.  A clear-state call writes through
-    a record of its own, which it rolls back or hands to the group's with
-    `adopt`."""
+    group's first write to it; fee totals are folded from the committed
+    transactions when read, so a group never writes one.  `put`, `drop` and
+    `move` journal each dict write (holdings, local state, an app's global
+    state and config, the app map) as the key's previous value.  `rollback`
+    replays the journal in reverse and restores the saved scalars, so
+    accounts and app states keep their identity.  The saved accounts are
+    exactly the accounts the group wrote, whose minimum balances the group
+    must leave intact.  A clear-state call writes through a record of its
+    own, which it rolls back or hands to the group's with `adopt`."""
 
-    __slots__ = ("state", "accounts", "apps", "writes")
+    __slots__ = ("state", "accounts", "writes")
 
     def __init__(self, state: _LedgerState):
         self.state = state
         self.accounts: dict = {}  # address -> (Account, balance, min_extra) before the group
-        self.apps: dict = {}  # app id -> (AppState, finalized) before the group
         self.writes: list = []  # (dict, key, previous value or _ABSENT), in write order
 
     def account(self, addr: Address) -> Account:
@@ -277,12 +277,6 @@ class _Undo:
         held = self.account(target).holdings
         self.put(held, asset_id, held[asset_id] + amount)
 
-    def finalize(self, app_id: int) -> None:
-        app = self.state.apps[app_id]
-        if app_id not in self.apps:
-            self.apps[app_id] = (app, app.finalized)
-        app.finalized = True
-
     def charge(self, addr: Address, acc: Account, fee: int) -> None:
         """Take a transaction fee from `acc`, the account at `addr`."""
         if addr not in self.accounts:
@@ -292,9 +286,8 @@ class _Undo:
     def adopt(self, inner: "_Undo") -> None:
         """Take over `inner`'s journal, and what it saved that this record has not."""
         self.writes += inner.writes
-        for mine, theirs in ((self.accounts, inner.accounts), (self.apps, inner.apps)):
-            for key, old in theirs.items():
-                mine.setdefault(key, old)
+        for addr, old in inner.accounts.items():
+            self.accounts.setdefault(addr, old)
 
     def rollback(self) -> None:
         for table, key, old in reversed(self.writes):
@@ -304,8 +297,6 @@ class _Undo:
                 table[key] = old
         for acc, balance, min_extra in self.accounts.values():
             acc.balance, acc.min_extra = balance, min_extra
-        for app, finalized in self.apps.values():
-            app.finalized = finalized
 
 
 @_slot_init
@@ -513,9 +504,6 @@ class Ledger:
         self._app_code[app_id] = _AppCode(app_id, program, creator, *caps)
         self._state.apps[app_id] = AppState()
         return app_id
-
-    def app_finalized(self, app_id: int) -> bool:
-        return self._app_state(app_id).finalized
 
     def app_global(self, app_id: int, key: bytes):
         return self._app_state(app_id).global_state.get(key)
@@ -833,7 +821,6 @@ class Ledger:
                 app_id: (
                     tuple(sorted(s.global_state.items())),
                     tuple(sorted(s.config.items())),
-                    s.finalized,
                 )
                 for app_id, s in sorted(self._state.apps.items())
             },

@@ -168,7 +168,8 @@ class CallContext:
     balances/local state of its caller and the accounts listed on the
     transaction, and only read global state of its own app and the apps
     listed on the transaction.  `app_config` is the app's live configuration
-    dict, to read; `config_put` writes it.
+    dict, to read; `config_put` writes it.  An app that must not change
+    refuses updates and deletions itself, from its own state.
     """
 
     __slots__ = ("app_id", "creator", "sender", "on_complete", "args", "accounts", "apps", "group", "txn_index",
@@ -280,7 +281,7 @@ class CallContext:
         """No bad write is noted yet that comes before a bad local one."""
         return self.bad_write is None or self.bad_write[1].get("code") == UINT_OUT_OF_RANGE
 
-    # -- app configuration (set at deployment, then frozen) -------------------
+    # -- app configuration (written by the app's own program) ----------------
 
     def config(self, key: str, default=None):
         value = self._app.config.get(key)
@@ -288,13 +289,6 @@ class CallContext:
 
     def config_put(self, key: str, value) -> None:
         self._undo.put(self._app.config, key, value)
-
-    @property
-    def finalized(self) -> bool:
-        return self._app.finalized
-
-    def finalize(self) -> None:
-        self._undo.finalize(self.app_id)
 
     # -- balances --------------------------------------------------------------
 

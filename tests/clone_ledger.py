@@ -45,10 +45,6 @@ class _StatePort:
         app = self._state.apps.get(app_id)
         return None if app is None else app.config.get(key)
 
-    def app_finalized(self, app_id: int) -> bool:
-        app = self._state.apps.get(app_id)
-        return bool(app and app.finalized)
-
     def local_exists(self, app_id: int, addr: str) -> bool:
         acc = self._state.accounts.get(addr)
         return bool(acc and app_id in acc.local)
@@ -104,7 +100,6 @@ class CallContext:
         self.global_writes: dict = {}
         self.local_writes: dict = {}  # (addr, key) -> value
         self.config_writes: dict = {}
-        self.finalize_requested = False
 
     # -- control flow -----------------------------------------------------
 
@@ -186,13 +181,6 @@ class CallContext:
     def config_put(self, key: str, value) -> None:
         self.config_writes[key] = value
 
-    @property
-    def finalized(self) -> bool:
-        return self.finalize_requested or self._port.app_finalized(self.app_id)
-
-    def finalize(self) -> None:
-        self.finalize_requested = True
-
     # -- balances --------------------------------------------------------------
 
     def asset_balance(self, addr: str, asset_id: int) -> int:
@@ -207,7 +195,7 @@ def clone_state(state: _LedgerState) -> _LedgerState:
         a: Account(acc.balance, dict(acc.holdings), {app: dict(kv) for app, kv in acc.local.items()}, acc.min_extra)
         for a, acc in state.accounts.items()
     }
-    st.apps = {i: AppState(dict(s.global_state), dict(s.config), s.finalized) for i, s in state.apps.items()}
+    st.apps = {i: AppState(dict(s.global_state), dict(s.config)) for i, s in state.apps.items()}
     st.fees_paid = dict(state.fees_paid)
     return st
 
@@ -380,8 +368,6 @@ class CloneLedger(Ledger):
         app_state = st.apps[code.app_id]
         if ctx.config_writes:
             app_state.config.update(ctx.config_writes)
-        if ctx.finalize_requested:
-            app_state.finalized = True
         if ctx.global_writes:
             app_state.global_state.update(ctx.global_writes)
             cap = min(code.program.schema.global_keys, MAX_GLOBAL_KEYS)

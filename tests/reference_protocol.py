@@ -22,7 +22,10 @@ alike:
 Some pieces were removed later, here and in `bondsim.greenbond` alike:
 * the manage app's `defaulted` action, which no group used;
 * the manage app's stated minimum-balance entries, which equal its schema's
-  price.
+  price;
+* the ledger's finalize flag and the generic `configure key value ...
+  finalize` form: an app is linked by one `configure` call in one form, and
+  refuses any update or deletion once its configuration names its peer.
 """
 from __future__ import annotations
 
@@ -70,32 +73,28 @@ from bondsim.programs import (
 )
 
 
-
-_INT_CONFIG_KEYS = {CFG_BOND_ASSET, CFG_PEER_APP}
-
-
 def _handle_reconfigure(ctx: CallContext) -> None:
-    # deployment-time linking; a one-shot finalize flag disables it for good
-    if ctx.finalized:
+    # deployment-time linking, one-shot: a linked app names its peer
+    if ctx.config(CFG_PEER_APP) is not None:
         ctx.deny("finalized")
     if ctx.sender != ctx.creator:
         ctx.deny("not_creator")
     if ctx.on_complete is OnComplete.DELETE_APPLICATION:
         return
-    ctx.require(len(ctx.args) >= 1 and ctx.arg(0) == b"configure", "bad_args")
-    i = 1
-    while i < len(ctx.args):
-        token = ctx.args[i]
-        if token == b"finalize":
-            ctx.finalize()
-            i += 1
-            continue
-        if i + 1 >= len(ctx.args):
-            ctx.deny("bad_args")
-        key = token.decode("ascii")
-        raw = ctx.args[i + 1].decode("ascii")
-        ctx.config_put(key, int(raw) if key in _INT_CONFIG_KEYS else raw)
-        i += 2
+    if len(ctx.args) != 5 or ctx.args[0] != b"configure":
+        ctx.deny("bad_args")
+    bond_asset = ctx.int_arg(1)
+    addresses = []
+    for index in (2, 3):
+        try:
+            addresses.append(ctx.args[index].decode("ascii"))
+        except UnicodeDecodeError:
+            ctx.deny("bad_arg", index=index)
+    peer_app = ctx.int_arg(4)
+    ctx.config_put(CFG_BOND_ASSET, bond_asset)
+    ctx.config_put(CFG_BOND_ESCROW, addresses[0])
+    ctx.config_put(CFG_STABLECOIN_ESCROW, addresses[1])
+    ctx.config_put(CFG_PEER_APP, peer_app)
 
 
 def _require_active(ctx: CallContext, params: BondParams, *addrs: Address) -> None:

@@ -51,22 +51,22 @@ def test_a_call_reads_its_own_writes_and_the_next_leg_sees_them(ledger_cls):
     seen = []
 
     def read(ctx):
-        seen.append((ctx.global_value(b"g"), ctx.local_uint("alice", b"l"), ctx.config("c"), ctx.finalized))
+        seen.append((ctx.global_value(b"g"), ctx.local_uint("alice", b"l"), ctx.config("c"), ctx.config("final")))
 
     def write(ctx):
         read(ctx)
         ctx.global_put(b"g", 1)
         ctx.local_put("alice", b"l", 2)
         ctx.config_put("c", "three")
-        ctx.finalize()
+        ctx.config_put("final", True)
         read(ctx)
 
     ledger = world(ledger_cls, {b"write": write, b"read": read})
     assert ledger.submit_group([call("alice", b"write"), call("bob", b"read", accounts=("alice",))]).approved
     written = (1, 2, "three", True)
-    assert seen == [(None, 0, None, False), written, written]
+    assert seen == [(None, 0, None, None), written, written]
     assert (ledger.app_global(APP, b"g"), ledger.app_local("alice", APP, b"l")) == (1, 2)
-    assert (ledger.app_config(APP, "c"), ledger.app_finalized(APP)) == ("three", True)
+    assert (ledger.app_config(APP, "c"), ledger.app_config(APP, "final")) == ("three", True)
 
 
 @LEDGERS
@@ -75,7 +75,7 @@ def test_a_group_rejected_at_a_later_leg_leaves_no_trace(ledger_cls):
         ctx.global_put(b"g", 1)
         ctx.local_put("alice", b"l", 2)
         ctx.config_put("c", 3)
-        ctx.finalize()
+        ctx.config_put("final", True)
 
     def deny(ctx):
         ctx.deny("later")
@@ -86,7 +86,7 @@ def test_a_group_rejected_at_a_later_leg_leaves_no_trace(ledger_cls):
         result = ledger.submit_group([call("alice", b"write"), last])
         assert result.rejected
         assert ledger.observable_state() == before
-        assert not ledger.app_finalized(APP)
+        assert ledger.app_config(APP, "final") is None
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ from test_applied_log import coupon_ready
 from test_builders import SHAPES, keyword_build
 
 USD = UNIT
-# the legs of each shape that take no operand of the action and no earlier leg
-FIXED = {
-    "_LINK": (0, 1), "_SETUP": (0,), "_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5),
-    "_DEFAULT": (0, 1, 4, 5), "_OPT_IN_ASSET": (0,), "_OPT_IN_MAIN": (0,),
-}
+# the legs of each shape that take no operand of the action and no earlier
+# leg; a shape whose every leg is such (the link, the two opt-ins) is sent
+# once per actor and caches none
+FIXED = {"_SETUP": (0,), "_BUY": (0, 1), "_COUPON": (0, 1, 2), "_PRINCIPAL": (0, 1, 4, 5), "_DEFAULT": (0, 1, 4, 5)}
 
 
 def cached_ids(dep) -> set:

@@ -138,7 +138,8 @@ def test_issuance_artifacts(env):
     assert led.algo_balance(dep.bond_escrow) == 100_000
     assert led.algo_balance(dep.stablecoin_escrow) == 100_000
     assert gb.main_global_state(led, dep) == (0, 0, 0)  # frozen until approved
-    assert led.app_finalized(dep.main_app_id) and led.app_finalized(dep.manage_app_id)
+    assert led.app_config(dep.main_app_id, gb.CFG_PEER_APP) == dep.manage_app_id
+    assert led.app_config(dep.manage_app_id, gb.CFG_PEER_APP) == dep.main_app_id
     assert led.app_config(dep.main_app_id, gb.CFG_BOND_ESCROW) == dep.bond_escrow
     assert led.app_config(dep.main_app_id, gb.CFG_STABLECOIN_ESCROW) == dep.stablecoin_escrow
 
@@ -211,6 +212,85 @@ def test_update_after_finalization_denied(env):
         ]
     )
     assert result.rejected and result.rejection.detail["code"] == "finalized"
+
+
+# ---------------------------------------------------------------------------
+# linking: each app's own one-shot check, on a main program registered
+# directly, so that no group has linked it yet
+
+
+def unlinked_main(env):
+    dep = env.deploy()
+    return dep, env.ledger.register_app(gb.build_main_program(dep.params), env.operator)
+
+
+def reconfigure(env, app_id, args=(), sender=None, oc=OnComplete.UPDATE_APPLICATION):
+    call = AppCall(sender=sender or env.operator, app_id=app_id, on_complete=oc, args=args)
+    return env.ledger.submit_group([call])
+
+
+def link_args(dep):
+    escrows = dep.bond_escrow.encode(), dep.stablecoin_escrow.encode()
+    return (b"configure", b"%d" % dep.bond_asset_id, *escrows, b"%d" % dep.manage_app_id)
+
+
+def refused(result, code, **detail):
+    return result.reason() == f"app_rejected:{code}" and detail.items() <= result.rejection.detail.items()
+
+
+def test_a_link_writes_the_configuration_and_then_refuses_every_change(env):
+    dep, app = unlinked_main(env)
+    assert reconfigure(env, app, link_args(dep)).approved
+    config = [env.ledger.app_config(app, key) for key in (gb.CFG_BOND_ASSET, gb.CFG_BOND_ESCROW,
+                                                          gb.CFG_STABLECOIN_ESCROW, gb.CFG_PEER_APP)]
+    assert config == [dep.bond_asset_id, dep.bond_escrow, dep.stablecoin_escrow, dep.manage_app_id]
+    stranger = env.new_account("stranger")
+    before = env.ledger.observable_state()
+    for args, oc, sender in [
+        (link_args(dep), OnComplete.UPDATE_APPLICATION, None),
+        ((), OnComplete.UPDATE_APPLICATION, None),
+        ((), OnComplete.DELETE_APPLICATION, None),
+        ((), OnComplete.DELETE_APPLICATION, stranger),
+    ]:
+        assert refused(reconfigure(env, app, args, sender, oc), "finalized")
+    assert env.ledger.observable_state() == before
+
+
+def test_only_the_creator_links_or_deletes_an_unlinked_app(env):
+    dep, app = unlinked_main(env)
+    stranger = env.new_account("stranger")
+    assert refused(reconfigure(env, app, link_args(dep), stranger), "not_creator")
+    assert refused(reconfigure(env, app, sender=stranger, oc=OnComplete.DELETE_APPLICATION), "not_creator")
+    assert reconfigure(env, app, oc=OnComplete.DELETE_APPLICATION).approved
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        (b"configure",),
+        (b"configure", b"bond_asset", b"x"),
+        (b"configure", b"bond_escrow", b"\xff"),
+        (b"configure", b"bond_asset", b"7", b"peer_app", b"8", b"finalize"),
+        (b"configure", b"1", b"A", b"B"),
+        (b"configure", b"1", b"A", b"B", b"2", b"finalize"),
+        (b"link", b"1", b"A", b"B", b"2"),
+    ],
+)
+def test_a_link_in_any_other_form_is_refused(env, args):
+    _, app = unlinked_main(env)
+    before = env.ledger.observable_state()
+    assert refused(reconfigure(env, app, args), "bad_args")
+    assert env.ledger.observable_state() == before
+
+
+@pytest.mark.parametrize("index, value", [(1, b"x"), (1, b""), (2, b"\xff"), (3, "caf\u00e9".encode()), (4, b"1.5")])
+def test_a_link_with_a_bad_id_or_address_is_refused(env, index, value):
+    dep, app = unlinked_main(env)
+    args = list(link_args(dep))
+    args[index] = value
+    assert refused(reconfigure(env, app, tuple(args)), "bad_arg", index=index)
+    assert env.ledger.app_config(app, gb.CFG_PEER_APP) is None
 
 
 def test_issuance_submits_link_fund_and_setup_through_their_shapes(env, monkeypatch):
@@ -462,6 +542,25 @@ def test_trade_requires_approved_buyer(env):
     offer = gb.make_trade_offer(dep, seller, 1_000 * USD, expiry=10_000)
     result = gb.submit_trade(env.ledger, dep, offer, outsider, UNIT)
     assert result.rejected and result.rejection.detail["code"] == "account_frozen"
+
+
+def test_a_negative_trade_allowance_is_a_bad_argument(env):
+    dep, seller, *_ = trade_env(env)
+    result = env.ledger.submit_group(gb._SET_TRADE.build(dep, seller, quantity=-1))
+    assert result.reason() == "app_rejected:bad_arg" and result.rejection.detail["index"] == 1
+
+
+@pytest.mark.parametrize("holds_asset", [False, True], ids=["no_asset", "asset_opt_in"])
+def test_trade_requires_a_buyer_registered_in_the_main_app(env, holds_asset):
+    dep, seller, *_ = trade_env(env)
+    led = env.ledger
+    outsider = env.new_account(stablecoin=10_000 * USD)
+    if holds_asset:
+        assert led.submit_group([AssetTransfer(outsider, dep.bond_asset_id, outsider, 0)]).approved
+    assert gb.submit_set_trade(led, dep, seller, UNIT).approved
+    offer = gb.make_trade_offer(dep, seller, 1_000 * USD, expiry=10_000)
+    result = gb.submit_trade(led, dep, offer, outsider, UNIT)
+    assert result.reason() == "app_rejected:not_registered" and result.rejection.detail["account"] == outsider
 
 
 def test_trade_buyer_fee(env):

@@ -370,7 +370,7 @@ class HonestActors(RuleBasedStateMachine):
     @check
     def app_state_holds_only_uint64(self):
         state = self.led.observable_state()
-        values = [value for pairs, _, _ in state["apps"].values() for _, value in pairs]
+        values = [value for pairs, _ in state["apps"].values() for _, value in pairs]
         values += [value for _, _, local, _ in state["accounts"].values() for _, pairs in local for _, value in pairs]
         assert all(0 <= value < 2**64 for value in values if isinstance(value, int))
 

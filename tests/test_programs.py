@@ -72,7 +72,8 @@ def test_predicate_can_require_grouped_app_call():
 
 
 def counter_program(local_limit=16, global_limit=64):
-    """Toy app: global counter, per-account tally, creator-gated update."""
+    """Toy app: global counter, per-account tally, creator-gated update that
+    the app refuses for good once an update with `finalize` writes `final`."""
 
     def approval(ctx):
         oc = ctx.on_complete
@@ -80,12 +81,12 @@ def counter_program(local_limit=16, global_limit=64):
             ctx.local_put(ctx.sender, b"tally", 0)
             return
         if oc in (OnComplete.UPDATE_APPLICATION, OnComplete.DELETE_APPLICATION):
-            if ctx.finalized:
+            if ctx.config("final") is not None:
                 ctx.deny("finalized")
             if ctx.sender != ctx.creator:
                 ctx.deny("not_creator")
             if ctx.args and ctx.args[0] == b"finalize":
-                ctx.finalize()
+                ctx.config_put("final", 1)
             return
         if oc in (OnComplete.CLOSE_OUT, OnComplete.CLEAR_STATE):
             return
@@ -226,7 +227,7 @@ def test_update_gating_and_finalization(env):
     assert ledger.submit_group(
         [call(app_id, creator, b"finalize", oc=OnComplete.UPDATE_APPLICATION)]
     ).approved
-    assert ledger.app_finalized(app_id)
+    assert ledger.app_config(app_id, "final") == 1
     result = ledger.submit_group([call(app_id, creator, oc=OnComplete.UPDATE_APPLICATION)])
     assert result.rejected and result.rejection.detail["code"] == "finalized"
     result = ledger.submit_group([call(app_id, creator, oc=OnComplete.DELETE_APPLICATION)])

@@ -26,7 +26,8 @@ ASSET, FROZEN_ASSET, APP = 100, 101, 1000  # ids a fresh ledger hands out first
 def probe_program():
     """Small schema (3 global, 2 local keys) so that writes overflow it.
     Anyone may delete the app, so that deletion writes an account other than
-    the sender's: the creator's."""
+    the sender's: the creator's.  An update with `finalize` writes the config
+    key `final`, after which the app refuses updates and deletions."""
 
     def approval(ctx):
         oc = ctx.on_complete
@@ -37,14 +38,14 @@ def probe_program():
             raise RuntimeError("handler fault")
         if oc is OnComplete.UPDATE_APPLICATION:
             ctx.require(ctx.sender == ctx.creator, "not_creator")
-            ctx.require(not ctx.finalized, "finalized")
+            ctx.require(ctx.config("final") is None, "finalized")
             ctx.config_put("version", ctx.config("version", 0) + 1)
             if action == b"finalize":
-                ctx.finalize()
+                ctx.config_put("final", 1)
             return
         if oc is OnComplete.DELETE_APPLICATION:
             ctx.require(action == b"delete", "no_delete_arg")
-            ctx.require(not ctx.finalized, "finalized")
+            ctx.require(ctx.config("final") is None, "finalized")
             return
         if oc is OnComplete.OPT_IN:
             ctx.local_put(ctx.sender, b"n", 1)
