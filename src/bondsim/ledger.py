@@ -239,17 +239,18 @@ _ABSENT = object()  # a journal entry's previous value for a key that was not th
 
 
 class _Undo:
-    """Rollback record of one group: it saves what each write overwrites.
-    `account` and `charge` save an account's balance and minimum on the
-    group's first write to it; fee totals are folded from the committed
-    transactions when read, so a group never writes one.  `put`, `drop` and
-    `move` journal each dict write (holdings, local state, an app's global
-    state and config, the app map) as the key's previous value.  `rollback`
-    replays the journal in reverse and restores the saved scalars, so
-    accounts and app states keep their identity.  The saved accounts are
-    exactly the accounts the group wrote, whose minimum balances the group
-    must leave intact.  A clear-state call writes through a record of its
-    own, which it rolls back or hands to the group's with `adopt`."""
+    """Rollback record of one group, the only one it keeps: it saves what each
+    write overwrites.  `account` saves an account's balance and minimum on the
+    group's first write to it, a fee included; fee totals are folded from the
+    committed transactions when read, so a group never writes one.  `put`,
+    `drop` and `move` journal each dict write (holdings, local state, an app's
+    global state and config, the app map) as the key's previous value.
+    `unwind(mark)` replays the journal after its first `mark` entries in
+    reverse and forgets them: a denied clear-state handler's writes go that
+    way.  `rollback` unwinds the whole journal and restores the saved scalars,
+    so accounts and app states keep their identity.  The saved accounts are
+    the accounts the group wrote, whose minimum balances the group must leave
+    intact."""
 
     __slots__ = ("state", "accounts", "writes")
 
@@ -277,24 +278,17 @@ class _Undo:
         held = self.account(target).holdings
         self.put(held, asset_id, held[asset_id] + amount)
 
-    def charge(self, addr: Address, acc: Account, fee: int) -> None:
-        """Take a transaction fee from `acc`, the account at `addr`."""
-        if addr not in self.accounts:
-            self.accounts[addr] = (acc, acc.balance, acc.min_extra)
-        acc.balance -= fee
-
-    def adopt(self, inner: "_Undo") -> None:
-        """Take over `inner`'s journal, and what it saved that this record has not."""
-        self.writes += inner.writes
-        for addr, old in inner.accounts.items():
-            self.accounts.setdefault(addr, old)
-
-    def rollback(self) -> None:
-        for table, key, old in reversed(self.writes):
+    def unwind(self, mark: int) -> None:
+        writes = self.writes
+        while len(writes) > mark:
+            table, key, old = writes.pop()
             if old is _ABSENT:
                 del table[key]
             else:
                 table[key] = old
+
+    def rollback(self) -> None:
+        self.unwind(0)
         for acc, balance, min_extra in self.accounts.values():
             acc.balance, acc.min_extra = balance, min_extra
 
@@ -616,7 +610,7 @@ class Ledger:
             raise _Reject("fee_too_low", txn_index=idx)
         if acc.balance < txn.fee:
             raise _Reject("insufficient_balance", txn_index=idx, address=txn.sender)
-        undo.charge(txn.sender, acc, txn.fee)
+        undo.account(txn.sender).balance -= txn.fee
 
         if isinstance(txn, Payment):
             self._apply_payment(undo, txn, idx)
@@ -722,11 +716,10 @@ class Ledger:
         # context's) leads back to this frame, a cycle that would keep the
         # ledger alive until the cyclic collector runs
         denial: Optional[dict] = None
-        if program.approval is not None:
-            try:
-                program.approval(ctx)
-            except Deny as d:
-                denial = {"code": d.code, **d.detail}
+        try:
+            program.approval(ctx)
+        except Deny as d:
+            denial = {"code": d.code, **d.detail}
         if denial is not None:
             raise _Reject("app_rejected", {"txn_index": idx, "app": txn.app_id, **denial})
         if ctx.bad_write is not None:
@@ -745,22 +738,23 @@ class Ledger:
             undo.account(code.creator).min_extra -= program.create_entry
 
     def _clear_state(self, undo: _Undo, code: _AppCode, group: TransactionGroup, idx: int) -> None:
-        """A clear-state call removes the local state, approved or not; only an
-        approved handler's writes stay, so it writes through a record of its own."""
+        """A clear-state call removes the local state, approved or not.  Its
+        handler writes through the group's record like any other call; if it
+        denies, its writes are unwound to the mark taken before it ran.  The
+        accounts it saved stay saved, which cannot change the group's
+        minimum-balance verdict: a handler changes no balance and no minimum,
+        and saves only opted-in accounts, which meet their minimum unless
+        this group changed them, and then the group saved them already."""
         txn = group.txns[idx]
-        inner = _Undo(undo.state)
-        ctx = CallContext(txn, code, group, idx, self._now, inner)
+        ctx = CallContext(txn, code, group, idx, self._now, undo)
         denied = False
         if code.program.clear_state is not None:
+            mark = len(undo.writes)
             try:
                 code.program.clear_state(ctx)
             except Deny:
+                undo.unwind(mark)
                 denied = True
-            finally:
-                if denied:
-                    inner.rollback()
-                else:
-                    undo.adopt(inner)
         if txn.app_id not in undo.state.accounts[txn.sender].local:
             raise _Reject("not_opted_in", txn_index=idx)
         if not denied and ctx.bad_write is not None:

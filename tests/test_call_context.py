@@ -5,7 +5,8 @@ reference): a call and the later legs of its group see its writes, a
 rejected group leaves no trace, a clear-state call keeps its writes only if
 its handler approves, and a bad write is reported once the handler returns,
 with the same code and detail, after any denial and with a global overflow
-before a bad local write."""
+before a bad local write.  A handler reaches only the accounts and apps its
+call references, and only the arguments it was given."""
 import pytest
 
 from bondsim.ledger import BASE_MIN_BALANCE, AppCall, Ledger, Payment, Rejection
@@ -155,6 +156,38 @@ def test_a_clear_state_handler_that_raises_leaves_no_trace(ledger_cls):
         with pytest.raises(RuntimeError, match="handler fault"):
             ledger.submit_group(group)
         assert ledger.observable_state() == before
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+@LEDGERS
+@pytest.mark.parametrize(
+    "handler, refused",
+    [
+        (lambda ctx: ctx.global_value(b"g", APP + 1), {"code": "app_not_referenced", "app": APP + 1}),
+        (lambda ctx: ctx.is_opted_in("bob"), {"code": "account_not_referenced", "account": "bob"}),
+        (lambda ctx: ctx.local_put("bob", b"l", 1), {"code": "account_not_referenced", "account": "bob"}),
+        (lambda ctx: ctx.asset_balance("bob", 100), {"code": "account_not_referenced", "account": "bob"}),
+    ],
+    ids=["global_value", "is_opted_in", "local_put", "asset_balance"],
+)
+def test_a_handler_touches_only_the_accounts_and_apps_its_call_references(ledger_cls, handler, refused):
+    ledger = world(ledger_cls, {b"go": handler})
+    before = ledger.observable_state()
+    result = ledger.submit_group([call("alice", b"go")])
+    assert result.rejection == Rejection("app_rejected", {"txn_index": 0, "app": APP, **refused})
+    assert ledger.observable_state() == before
+    referenced = AppCall("alice", APP, args=(b"go",), accounts=("bob",), apps=(APP + 1,))
+    assert ledger.submit_group([referenced]).approved
+
+
+@LEDGERS
+def test_a_missing_argument_is_denied(ledger_cls):
+    ledger = world(ledger_cls, {b"go": lambda ctx: ctx.arg(1)})
+    result = ledger.submit_group([call("alice", b"go")])
+    assert result.rejection == Rejection("app_rejected", {"txn_index": 0, "app": APP, "code": "missing_arg", "index": 1})
 
 
 # ---------------------------------------------------------------------------

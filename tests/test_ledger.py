@@ -10,6 +10,7 @@ from bondsim.ledger import (
     InsufficientBalance,
     Ledger,
     Payment,
+    Rejection,
     TransactionGroup,
     UnknownAddress,
 )
@@ -250,6 +251,87 @@ def test_payment_to_unknown_address(ledger):
     assert result.rejected and result.rejection.code == "unknown_address"
 
 
+def test_a_sender_that_cannot_pay_its_fee_is_refused(ledger):
+    """Refused at its fee, as an opt-in makes no balance check of its own."""
+    a = funded(ledger)
+    poor = funded(ledger, FLAT_FEE - 1)
+    asset = ledger.create_asset(a, total=1000, decimals=0)
+    before = ledger.observable_state()
+    result = ledger.submit_group([Payment(a, a, 0), AssetTransfer(poor, asset, poor, 0)])
+    assert result.rejection == Rejection("insufficient_balance", {"txn_index": 1, "address": poor})
+    assert ledger.observable_state() == before
+
+
+def test_a_leg_from_an_unknown_sender_is_refused(ledger):
+    a = funded(ledger)
+    before = ledger.observable_state()
+    result = ledger.submit_group([Payment(a, a, 0), Payment("ghost", a, 1)])
+    assert result.rejection == Rejection("unknown_address", {"address": "ghost"})
+    assert ledger.observable_state() == before
+
+
+@pytest.mark.parametrize("kind", ["payment", "asset"])
+def test_a_negative_amount_is_refused_and_moves_nothing(ledger, kind):
+    """A negative amount would move value from the receiver to the sender,
+    without the receiver's signature."""
+    victim = funded(ledger, 5_000_000, "victim")
+    thief = funded(ledger, 1_000_000, "thief")
+    usd = ledger.create_asset(victim, total=1_000_000, decimals=6)
+    assert opt_in(ledger, thief, usd).approved
+    before = ledger.observable_state()
+    leg = Payment(thief, victim, -500_000) if kind == "payment" else AssetTransfer(thief, usd, victim, -1_000)
+    result = ledger.submit_group([Payment(thief, thief, 0), leg])
+    assert result.rejection == Rejection("bad_amount", {"txn_index": 1})
+    assert ledger.observable_state() == before
+
+
+@pytest.mark.parametrize(
+    "sender, asset, receiver, refused",
+    [
+        ("holder", 999, "holder", Rejection("unknown_asset", {"txn_index": 0})),
+        ("holder", 100, "ghost", Rejection("unknown_address", {"address": "ghost", "txn_index": 0})),
+        ("outsider", 100, "holder", Rejection("not_opted_in", {"address": "outsider", "txn_index": 0})),
+    ],
+    ids=["opt-in to an unknown asset", "unknown receiver", "sender not opted in"],
+)
+def test_an_asset_transfer_needs_a_known_asset_a_known_receiver_and_an_opted_in_sender(
+    ledger, sender, asset, receiver, refused
+):
+    funded(ledger, label="holder")
+    funded(ledger, label="outsider")
+    assert ledger.create_asset("holder", total=1000, decimals=0) == 100
+    before = ledger.observable_state()
+    assert ledger.submit_group([AssetTransfer(sender, asset, receiver, 0)]).rejection == refused
+    assert ledger.observable_state() == before
+
+
+@pytest.mark.parametrize(
+    "target, receiver, refused",
+    [
+        ("ghost", "creator", Rejection("unknown_address", {"address": "ghost", "txn_index": 0})),
+        ("outsider", "creator", Rejection("not_opted_in", {"address": "outsider", "txn_index": 0})),
+        ("creator", "outsider", Rejection("not_opted_in", {"address": "outsider", "txn_index": 0})),
+    ],
+    ids=["unknown target", "target not opted in", "receiver not opted in"],
+)
+def test_a_clawback_needs_a_known_target_and_an_opted_in_receiver(ledger, target, receiver, refused):
+    funded(ledger, label="creator")
+    funded(ledger, label="outsider")
+    authority = funded(ledger)
+    asset = ledger.create_asset("creator", total=1000, decimals=0, clawback_addr=authority)
+    before = ledger.observable_state()
+    result = ledger.submit_group([AssetTransfer(authority, asset, receiver, 5, revoke_target=target)])
+    assert result.rejection == refused
+    assert ledger.observable_state() == before
+
+
+def test_a_clawback_of_an_unknown_asset_is_refused_before_its_fee_is_checked(ledger):
+    authority = funded(ledger)
+    holder = funded(ledger)
+    clawback = AssetTransfer(authority, 999, authority, 5, revoke_target=holder, fee=FLAT_FEE - 1)
+    assert ledger.submit_group([clawback]).rejection == Rejection("unknown_asset", {"txn_index": 0})
+
+
 # ---------------------------------------------------------------------------
 # time
 
@@ -289,6 +371,20 @@ def test_contract_account_spend_requires_predicate(ledger):
     assert ledger.submit_group(
         [Payment(sender=escrow2, receiver=sink, amount=100, signature=LogicSig(open_program))]
     ).approved
+
+
+@pytest.mark.parametrize("delegated", [False, True], ids=["contract account", "delegated"])
+def test_a_logic_signature_for_another_sender_is_a_bad_signature(ledger, delegated):
+    """A logic signature authorizes only its program's address, or its
+    delegator: any other sender is refused before the program runs."""
+    program = StatelessProgram("open", ("z",), _always)
+    escrow = ledger.register_contract_account(program)
+    ledger.fund_algos(escrow, 1_000_000)
+    owner, other = funded(ledger), funded(ledger)
+    sig = LogicSig(program, delegator=owner) if delegated else LogicSig(program)
+    signed = Payment(owner if delegated else escrow, other, 0, signature=sig)
+    result = ledger.submit_group([signed, Payment(other, owner, 1, signature=sig)])
+    assert result.rejection == Rejection("bad_signature", {"txn_index": 1})
 
 
 # ---------------------------------------------------------------------------
