@@ -5,7 +5,12 @@ action shows here without timing noise.  Each count is pinned at the value
 last measured (the same on 3.10 to 3.13), so a saved call cannot creep back.
 "coupon" is an investor's first claim, which builds the investor's fixed
 legs; "repeat coupon" is a later claim, which looks them up.  Parsing is
-pinned the same way: the calls that one more `offer` line costs."""
+pinned the same way: the calls that one more `offer` line costs.
+The collector is held off while counting: a collection that happens to fall
+inside an action would add the collector's own callbacks to its count
+(hypothesis, once imported by another test, registers one that times every
+collection)."""
+import gc
 import sys
 
 import pytest
@@ -39,11 +44,16 @@ def calls_made(fn, *args) -> tuple:
         if event == "call":
             calls += 1
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return result, calls
 
 
